@@ -379,8 +379,7 @@ std::string Fabric::DescribeCluster() const {
       for (uint32_t j = 0; j < table->num_replicas(); ++j) {
         const uint32_t node = topology_.NodeFor(
             s, j, table->num_shards(), table->placement());
-        const std::string replica = tname + ".shard" + std::to_string(s) +
-                                    ".r" + std::to_string(j);
+        const std::string replica = shard::ReplicaName(tname, s, j);
         os << " r" << j << "@" << net::Topology::NodeName(node);
         if (!health_.alive(replica) ||
             !health_.alive(net::Topology::NodeName(node))) {

@@ -188,17 +188,16 @@ class Fabric {
   // --- cluster / distributed fabric ---
 
   /// Switches the fabric into distributed mode (docs/scaling.md
-  /// "Distributed fabric"): `config.nodes` simulated nodes, each with
-  /// its own memory-system/RM rig, connected by a network priced by
-  /// `config.network`. Sharded-table fan-outs then run shards on the
-  /// node hosting their serving replica and ship each shard's partial
+  /// "Distributed fabric"): `config.nodes` simulated nodes, each a
+  /// clock in the cycle model, connected by a network priced by
+  /// `config.network`. Sharded-table fan-outs then charge each shard to
+  /// the node hosting its serving replica and ship each shard's partial
   /// across the modeled network — as materialized rows or partial
   /// aggregates, whichever the planner prices cheaper (ship=rows|aggs
-  /// in EXPLAIN). The one cluster entry point: topology, network
-  /// parameters and node rigs are all configured here. Reconfiguring
-  /// rebuilds the node rigs cold. Even a 1-node cluster keeps the
-  /// distributed semantics — its shard partials still pay the modeled
-  /// network. Structured kInvalidArgument on a malformed config.
+  /// in EXPLAIN). The one cluster entry point: topology and network
+  /// parameters are both configured here. Even a 1-node cluster keeps
+  /// the distributed semantics — its shard partials still pay the
+  /// modeled network. Structured kInvalidArgument on a malformed config.
   Status ConfigureCluster(const net::ClusterConfig& config);
 
   /// The active cluster topology; disabled (nodes() == 0) until

@@ -10,7 +10,6 @@
 
 #include "engine/rm_exec.h"
 #include "engine/volcano.h"
-#include "exec/node_group.h"
 #include "faults/fault_plan.h"
 #include "faults/injector.h"
 #include "layout/row_table.h"
@@ -40,7 +39,6 @@ struct ShardScheduler::ShardRun {
   std::string cause;
   obs::MeterSample sample;
   uint64_t injected = 0;
-  uint64_t retries = 0;
   uint64_t exhausted = 0;
   // --- failure-domain outcome, filled in single-threaded code ---
   /// False when the shard had no live replica and was skipped
@@ -53,12 +51,12 @@ struct ShardScheduler::ShardRun {
   uint32_t failovers = 0;
   /// True when a cycle-domain deadline cancelled this shard post-join.
   bool cancelled = false;
-  // --- distributed-mode outcome (single-threaded pre/post sections) ---
-  /// Node hosting the serving replica.
+  // --- cluster outcome (single-threaded pre/post sections) ---
+  /// Node hosting the serving replica: the shard's clock in a cluster.
   uint32_t node = 0;
   /// Wire format of this shard's partial (planner's choice).
   net::ShipMode ship = net::ShipMode::kAggs;
-  /// The priced node → coordinator transfer.
+  /// The shard → coordinator transfer; all zero single-host.
   net::Transfer transfer;
 };
 
@@ -68,13 +66,20 @@ namespace {
 /// merge-closed partials. COUNT/SUM/MIN/MAX are closed under their own
 /// merge (sum/sum/min/max of per-shard finals); AVG is not, so it is
 /// rewritten to a per-shard SUM plus one hidden per-shard COUNT and
-/// reassembled as merged_sum / merged_count after the fan-out.
+/// reassembled as merged_sum / merged_count after the fan-out. Partial
+/// slot i carries original aggregate i; the hidden COUNT comes last.
 struct PartialPlan {
   engine::QuerySpec spec;            // aggregates replaced by partials
   std::vector<engine::AggFunc> slot_func;  // merge rule per partial slot
-  std::vector<int> value_slot;       // original aggregate -> partial slot
   int count_slot = -1;               // hidden COUNT slot, -1 if unused
 };
+
+bool HasAvg(const engine::QuerySpec& spec) {
+  return std::any_of(spec.aggregates.begin(), spec.aggregates.end(),
+                     [](const engine::AggSpec& agg) {
+                       return agg.func == engine::AggFunc::kAvg;
+                     });
+}
 
 PartialPlan MakePartialPlan(const engine::QuerySpec& spec) {
   PartialPlan pp;
@@ -85,18 +90,14 @@ PartialPlan MakePartialPlan(const engine::QuerySpec& spec) {
     if (agg.func == engine::AggFunc::kAvg) {
       partial.func = engine::AggFunc::kSum;
     }
-    pp.value_slot.push_back(static_cast<int>(pp.spec.aggregates.size()));
     pp.slot_func.push_back(partial.func);
     pp.spec.aggregates.push_back(partial);
   }
-  for (const engine::AggSpec& agg : spec.aggregates) {
-    if (agg.func == engine::AggFunc::kAvg) {
-      pp.count_slot = static_cast<int>(pp.spec.aggregates.size());
-      pp.slot_func.push_back(engine::AggFunc::kCount);
-      pp.spec.aggregates.push_back(
-          engine::AggSpec{engine::AggFunc::kCount, -1});
-      break;  // one shared denominator serves every AVG
-    }
+  if (HasAvg(spec)) {
+    // One shared denominator serves every AVG.
+    pp.count_slot = static_cast<int>(pp.spec.aggregates.size());
+    pp.slot_func.push_back(engine::AggFunc::kCount);
+    pp.spec.aggregates.push_back(engine::AggSpec{engine::AggFunc::kCount, -1});
   }
   return pp;
 }
@@ -127,7 +128,7 @@ std::vector<double> FinalizeSlots(const engine::QuerySpec& original,
   std::vector<double> out;
   out.reserve(original.aggregates.size());
   for (size_t i = 0; i < original.aggregates.size(); ++i) {
-    const double v = slots[static_cast<size_t>(pp.value_slot[i])];
+    const double v = slots[i];
     if (original.aggregates[i].func == engine::AggFunc::kAvg) {
       const double cnt = slots[static_cast<size_t>(pp.count_slot)];
       out.push_back(cnt > 0 ? v / cnt : 0);
@@ -153,14 +154,11 @@ faults::FaultPlan PlanForShard(const faults::FaultPlan& base,
   return plan;
 }
 
-/// Failure-domain component name of replica j of shard i.
-std::string ReplicaName(const std::string& table, uint32_t shard,
-                        uint32_t replica) {
-  return table + ".shard" + std::to_string(shard) + ".r" +
-         std::to_string(replica);
-}
-
 }  // namespace
+
+size_t PartialSlotCount(const engine::QuerySpec& spec) {
+  return spec.aggregates.size() + (HasAvg(spec) ? 1 : 0);
+}
 
 ShardScheduler::Rig& ShardScheduler::RigForSlot(int slot) {
   MutexLock lock(&rig_mu_);
@@ -176,8 +174,9 @@ ShardScheduler::Rig& ShardScheduler::RigForSlot(int slot) {
 void ShardScheduler::RunShardTask(const Request& req,
                                   const engine::QuerySpec& partial_spec,
                                   const ExecContext& ctx, uint32_t shard_id,
-                                  sim::MemorySystem* memory,
-                                  relmem::RmEngine* rm, ShardRun* out) {
+                                  Rig* rig, ShardRun* out) {
+  sim::MemorySystem* memory = &rig->memory;
+  relmem::RmEngine* rm = &rig->rm;
   memory->ResetAddressSpace();
 
   // Private per-shard injector: armed only when the stack is armed.
@@ -225,7 +224,6 @@ void ShardScheduler::RunShardTask(const Request& req,
 
   if (local != nullptr) {
     out->injected = local->total_injected();
-    out->retries = local->total_retries();
     out->exhausted = local->total_exhausted();
   }
   memory->set_fault_injector(nullptr);
@@ -242,9 +240,6 @@ void ShardScheduler::RunShardTask(const Request& req,
 
 void ShardScheduler::ConfigureCluster(const net::Topology& topology) {
   topology_ = topology;
-  nodes_ = topology_.enabled()
-               ? std::make_unique<NodeGroup>(sim_params_, topology_.nodes())
-               : nullptr;
   if (node_bytes_.size() < topology_.nodes()) {
     node_bytes_.resize(topology_.nodes(), 0);
   }
@@ -254,7 +249,7 @@ StatusOr<engine::QueryResult> ShardScheduler::Execute(const Request& req,
                                                       const ExecContext& ctx) {
   RELFAB_CHECK(req.table != nullptr && req.spec != nullptr &&
                req.shard_ids != nullptr);
-  if (topology_.enabled()) return ExecuteDistributed(req, ctx);
+  const bool cluster = topology_.enabled();
   const std::vector<uint32_t>& ids = *req.shard_ids;
   const uint32_t total = req.table->num_shards();
   const uint32_t replicas = req.table->num_replicas();
@@ -265,68 +260,79 @@ StatusOr<engine::QueryResult> ShardScheduler::Execute(const Request& req,
   span.AddArg("backend", std::string(BackendToString(req.backend)));
   span.AddArg("shards_scanned", ids.size());
   span.AddArg("shards_total", total);
+  if (cluster) span.AddArg("nodes", topology_.nodes());
 
   const PartialPlan pp = MakePartialPlan(*req.spec);
+  const size_t slots = pp.spec.aggregates.size();
   std::vector<ShardRun> runs(ids.size());
 
   // --- pre-fan-out, single-threaded: pick each shard's serving replica.
-  // Lowest-index live replica wins; one "shard.kill" opportunity per
-  // selection attempt, so replica j is never drawn until replicas
-  // 0..j-1 are dead. Because selection runs before the pool and walks
-  // shards in shard-major order, the death schedule is a pure function
-  // of (plan, workload) — bit-identical at any host thread count.
+  // Lowest-index live replica wins. In a cluster, replica j lives on the
+  // node the placement maps it to and serves only if both that node and
+  // the replica are alive; each selection attempt draws one "node.kill"
+  // on the node (cluster only) and one "shard.kill" on the replica, so
+  // replica j is never drawn until replicas 0..j-1 are dead. Selection
+  // runs before the pool and walks shards in shard-major order, so the
+  // death schedule is a pure function of (plan, workload) —
+  // bit-identical at any host thread count.
+  const auto dead = [&](const char* site, const std::string& component) {
+    return !ctx.health->alive(component) ||
+           ctx.health->DrawKill(site, component, now);
+  };
+  const std::string dead_replicas =
+      std::to_string(replicas) +
+      (cluster ? " replica(s) dead or on dead nodes" : " replica(s) dead");
   std::vector<size_t> serving;  // indices into ids/runs
   serving.reserve(ids.size());
   for (size_t i = 0; i < ids.size(); ++i) {
+    ShardRun& run = runs[i];
     int picked = -1;
-    uint32_t failovers = 0;
     for (uint32_t j = 0; j < replicas; ++j) {
-      const std::string name = ReplicaName(req.table_name, ids[i], j);
-      if (ctx.health != nullptr) {
-        if (!ctx.health->alive(name)) {
-          ++failovers;
-          continue;
-        }
-        if (ctx.health->DrawKill("shard.kill", name, now)) {
-          ++failovers;
-          continue;
-        }
+      const uint32_t node =
+          cluster ? topology_.NodeFor(ids[i], j, total,
+                                      req.table->placement())
+                  : 0;
+      if (ctx.health != nullptr &&
+          ((cluster && dead("node.kill", net::Topology::NodeName(node))) ||
+           dead("shard.kill",
+                shard::ReplicaName(req.table_name, ids[i], j)))) {
+        ++run.failovers;
+        continue;
       }
       picked = static_cast<int>(j);
+      run.node = node;
       break;
     }
-    runs[i].failovers = failovers;
     if (picked < 0) {
-      runs[i].serving = false;
+      run.serving = false;
       ++shards_unavailable_;
+      const std::string what =
+          "shard " + std::to_string(ids[i]) + " of '" + req.table_name + "'";
       if (ctx.recorder != nullptr) {
-        ctx.recorder->Log("shard",
-                          "shard " + std::to_string(ids[i]) + " of '" +
-                              req.table_name + "' unavailable: all " +
-                              std::to_string(replicas) + " replica(s) dead",
+        ctx.recorder->Log("shard", what + " unavailable: all " + dead_replicas,
                           now);
       }
       if (!ctx.options.allow_partial) {
         return Status::Unavailable(
-            "shard " + std::to_string(ids[i]) + " of '" + req.table_name +
-            "' has no live replica (" + std::to_string(replicas) +
-            " replica(s) dead); set allow_partial to answer from the "
-            "survivors");
+            what + " has no live replica (" + dead_replicas +
+            "); set allow_partial to answer from the survivors");
       }
       continue;
     }
-    runs[i].replica = picked;
+    run.replica = picked;
+    if (cluster && req.ship != nullptr && i < req.ship->size()) {
+      run.ship = (*req.ship)[i];
+    }
     serving.push_back(i);
   }
 
-  // --- fan out: host pool pulls serving-shard tasks from a cursor ---
+  // --- fan out: host pool pulls serving-shard tasks from a cursor. Any
+  // worker's rig can run any shard (every task starts from a cold reset),
+  // so a cluster fan-out may use more host workers than it has nodes.
   int host = host_threads_ > 0
                  ? host_threads_
                  : static_cast<int>(std::thread::hardware_concurrency());
-  if (host < 1) host = 1;
-  if (static_cast<size_t>(host) > serving.size()) {
-    host = static_cast<int>(serving.size());
-  }
+  host = std::min(std::max(host, 1), static_cast<int>(serving.size()));
   std::atomic<size_t> next{0};
   auto worker = [&](int slot) {
     Rig& rig = RigForSlot(slot);
@@ -334,7 +340,7 @@ StatusOr<engine::QueryResult> ShardScheduler::Execute(const Request& req,
       const size_t pick = next.fetch_add(1);
       if (pick >= serving.size()) break;
       const size_t i = serving[pick];
-      RunShardTask(req, pp.spec, ctx, ids[i], &rig.memory, &rig.rm, &runs[i]);
+      RunShardTask(req, pp.spec, ctx, ids[i], &rig, &runs[i]);
     }
   };
   if (host <= 1) {
@@ -353,33 +359,54 @@ StatusOr<engine::QueryResult> ShardScheduler::Execute(const Request& req,
     if (!runs[i].status.ok()) return runs[i].status;
   }
 
-  // Failover surcharge on the shard's own clock: detecting a dead
-  // replica (missed heartbeat) and re-dispatching is paid before the
-  // surviving replica's scan starts.
-  for (const size_t i : serving) {
-    runs[i].cycles += static_cast<uint64_t>(
-        static_cast<double>(runs[i].failovers) *
-        req.cost.shard_failover_cycles);
-    shards_failed_over_ += runs[i].failovers;
+  // Partial-aggregate rows a shard result carries (1 for a flat
+  // aggregate that matched anything).
+  const auto agg_rows = [&](const engine::QueryResult& r) -> uint64_t {
+    if (!req.spec->group_by.empty()) return r.groups.size();
+    return slots > 0 && r.rows_matched > 0 ? 1 : 0;
+  };
+  const layout::Schema& schema = req.table->schema();
+  uint32_t row_bytes = 0;
+  if (cluster) {
+    for (uint32_t c : req.spec->ReferencedColumns(schema)) {
+      row_bytes += schema.width(c);
+    }
   }
+  const uint32_t key_bytes =
+      static_cast<uint32_t>(req.spec->group_by.size()) * 8;
+  const net::NetworkModel netm(topology_.network(),
+                               req.cost.net_serialize_row_cycles,
+                               req.cost.net_serialize_agg_cycles);
 
-  // --- cycle model: shard-major deal onto simulated workers ---
-  // Each simulated worker's clock is the sum of its shards' cycles; a
-  // shard "completes" at its worker's clock after its scan. With a
-  // deadline armed, shards completing past it are cancelled — evaluated
-  // on the simulated clock, so expiry is scheduling-invariant.
-  size_t sim_workers = ctx.options.max_threads > 0
-                           ? static_cast<size_t>(ctx.options.max_threads)
-                           : serving.size();
-  sim_workers =
-      std::max<size_t>(1, std::min(sim_workers, std::max<size_t>(
-                                                    1, serving.size())));
-  std::vector<uint64_t> worker_cycles(sim_workers, 0);
+  // --- cycle model: each serving shard runs on one simulated clock —
+  // single-host, the shard-major deal k % P onto P simulated workers; in
+  // a cluster, its serving node. A shard costs its scan, the failover
+  // surcharge (a dead replica or node is detected by missed heartbeat),
+  // and in a cluster the pack cost of its priced transfer (single-host
+  // partials cross a zero loopback). A clock's time is the sum of its
+  // shards' cycles; shards completing past an armed deadline are
+  // cancelled, on the simulated clock, so expiry is scheduling-invariant.
+  const size_t width = std::max<size_t>(1, serving.size());
+  const size_t sim_workers =
+      ctx.options.max_threads > 0
+          ? std::min(width, static_cast<size_t>(ctx.options.max_threads))
+          : width;
+  std::vector<uint64_t> clocks(cluster ? topology_.nodes() : sim_workers, 0);
   const uint64_t deadline = ctx.options.deadline_cycles;
   size_t cancelled_count = 0;
   for (size_t k = 0; k < serving.size(); ++k) {
     ShardRun& run = runs[serving[k]];
-    uint64_t& clock = worker_cycles[k % sim_workers];
+    run.cycles += static_cast<uint64_t>(static_cast<double>(run.failovers) *
+                                        req.cost.shard_failover_cycles);
+    shards_failed_over_ += run.failovers;
+    if (cluster) {
+      run.transfer =
+          run.ship == net::ShipMode::kRows
+              ? netm.ShipRows(run.result.rows_matched, row_bytes)
+              : netm.ShipAggs(agg_rows(run.result), key_bytes, slots);
+      run.cycles += static_cast<uint64_t>(run.transfer.serialize_cycles);
+    }
+    uint64_t& clock = clocks[cluster ? run.node : k % sim_workers];
     clock += run.cycles;
     if (deadline > 0 && clock > deadline) {
       run.cancelled = true;
@@ -387,7 +414,7 @@ StatusOr<engine::QueryResult> ShardScheduler::Execute(const Request& req,
     }
   }
   uint64_t parallel_cycles = 0;
-  for (uint64_t c : worker_cycles) {
+  for (uint64_t c : clocks) {
     parallel_cycles = std::max(parallel_cycles, c);
   }
   shards_cancelled_ += cancelled_count;
@@ -398,381 +425,7 @@ StatusOr<engine::QueryResult> ShardScheduler::Execute(const Request& req,
     for (const size_t i : serving) {
       const ShardRun& run = runs[i];
       if (run.cancelled) continue;
-      const std::string name =
-          ReplicaName(req.table_name, ids[i], static_cast<uint32_t>(run.replica));
-      if (run.degraded) {
-        if (run.exhausted > 0) {
-          ctx.health->ReportExhausted(name, run.cause, now);
-        } else {
-          ctx.health->ReportFailure(name, run.cause, now);
-        }
-      } else {
-        ctx.health->ReportSuccess(name);
-      }
-    }
-  }
-
-  // --- meters + degradation bookkeeping (shard order, completed only) ---
-  shards_scanned_ += serving.size();
-  shards_pruned_ += total - ids.size();
-  std::string degraded_note;
-  for (const size_t i : serving) {
-    const ShardRun& run = runs[i];
-    if (run.cancelled) continue;
-    shard_cycles_.Observe(static_cast<double>(run.cycles));
-    if (ctx.digests != nullptr) {
-      // Shard-order observation in single-threaded post-join code: the
-      // digest contents are independent of the host worker count.
-      ctx.digests->Observe("shard.cycles", static_cast<double>(run.cycles));
-      ctx.digests->Observe("shard." + std::to_string(ids[i]) + ".cycles",
-                           static_cast<double>(run.cycles));
-    }
-    faults_injected_ += run.injected;
-    if (run.degraded) {
-      ++shards_degraded_;
-      if (ctx.injector != nullptr) {
-        ctx.injector->NoteFallback(
-            "shard." + std::string(BackendToString(req.backend)));
-      }
-      if (ctx.recorder != nullptr) {
-        ctx.recorder->Log(
-            "shard",
-            "shard " + std::to_string(ids[i]) + " degraded: " + run.cause,
-            now);
-      }
-      if (degraded_note.empty()) {
-        std::ostringstream os;
-        os << "shard " << ids[i] << ": " << run.cause
-           << "; shard re-run on ROW backend (" << (serving.size() - 1)
-           << " other shard(s) unaffected)";
-        degraded_note = os.str();
-      }
-    }
-  }
-
-  // --- profile ops, one per surviving shard (both exits share this) ---
-  const auto fill_profile_ops = [&]() {
-    obs::QueryProfile* prof = ctx.profile;
-    prof->shards_total = total;
-    prof->shards_scanned = static_cast<uint32_t>(serving.size());
-    prof->shards_pruned = total - static_cast<uint32_t>(ids.size());
-    prof->shards_unavailable =
-        static_cast<uint32_t>(ids.size() - serving.size());
-    prof->shards_cancelled = static_cast<uint32_t>(cancelled_count);
-    for (size_t i = 0; i < runs.size(); ++i) {
-      const ShardRun& run = runs[i];
-      obs::OpStats op;
-      std::ostringstream name;
-      name << "Shard[" << ids[i] << "] ";
-      if (!run.serving) {
-        name << "(dead, skipped)";
-        op.name = name.str();
-        op.rows_in = req.table->shard(ids[i]).num_rows();
-        prof->ops.push_back(std::move(op));
-        continue;
-      }
-      prof->shards_failed_over += run.failovers;
-      name << BackendToString(req.backend);
-      if (run.degraded) name << "->ROW";
-      if (run.replica > 0) {
-        name << " replica=" << run.replica << " (failover)";
-      }
-      if (run.cancelled) name << " (cancelled)";
-      op.name = name.str();
-      op.rows_in = run.shard_rows;
-      op.rows_out = run.result.rows_matched;
-      op.cpu_cycles = run.sample.cpu_cycles;
-      op.dram_lines_demand = run.sample.dram_lines_demand;
-      op.dram_lines_gather = run.sample.dram_lines_gather;
-      op.fabric_reads = run.sample.fabric_reads;
-      op.l1_misses = run.sample.l1_misses;
-      op.l2_misses = run.sample.l2_misses;
-      prof->ops.push_back(std::move(op));
-    }
-    if (!degraded_note.empty()) prof->fallback = degraded_note;
-  };
-
-  if (cancelled_count > 0) {
-    // Deadline expiry: the merge never runs; the profile survives with
-    // per-shard ops intact and the total clamped to the deadline.
-    if (ctx.recorder != nullptr) {
-      ctx.recorder->Log("shard",
-                        "deadline of " + std::to_string(deadline) +
-                            " cycles exceeded: " +
-                            std::to_string(cancelled_count) + " of " +
-                            std::to_string(serving.size()) +
-                            " shard(s) cancelled",
-                        now);
-    }
-    if (ctx.profile != nullptr) {
-      fill_profile_ops();
-      ctx.profile->total_cycles = static_cast<double>(deadline);
-    }
-    return Status::DeadlineExceeded(
-        "query exceeded deadline of " + std::to_string(deadline) +
-        " cycles: " + std::to_string(cancelled_count) + " of " +
-        std::to_string(serving.size()) + " shard(s) cancelled");
-  }
-
-  // --- merge, shard-major over the serving shards ---
-  const size_t slots = pp.spec.aggregates.size();
-  engine::QueryResult merged;
-  std::vector<double> flat(slots, 0);
-  std::vector<bool> flat_any(slots, false);
-  std::map<engine::GroupKey, std::vector<double>> groups;
-  uint64_t merge_units = serving.size() * slots;
-
-  for (const size_t i : serving) {
-    const engine::QueryResult& r = runs[i].result;
-    merged.rows_scanned += r.rows_scanned;
-    merged.rows_matched += r.rows_matched;
-    merged.projection_checksum += r.projection_checksum;
-    if (r.rows_matched > 0 && req.spec->group_by.empty()) {
-      for (size_t j = 0; j < slots; ++j) {
-        CombineSlot(pp.slot_func[j], !flat_any[j], r.aggregates[j],
-                    &flat[j]);
-        flat_any[j] = true;
-      }
-    }
-    merge_units += r.groups.size() * slots;
-    for (const auto& [key, vals] : r.groups) {
-      auto [it, inserted] = groups.emplace(key, vals);
-      if (!inserted) {
-        for (size_t j = 0; j < slots; ++j) {
-          CombineSlot(pp.slot_func[j], false, vals[j], &it->second[j]);
-        }
-      }
-    }
-  }
-
-  if (!req.spec->aggregates.empty() && req.spec->group_by.empty()) {
-    merged.aggregates = FinalizeSlots(*req.spec, pp, flat);
-  }
-  merged.groups.reserve(groups.size());
-  for (const auto& [key, vals] : groups) {
-    merged.groups.emplace_back(key, FinalizeSlots(*req.spec, pp, vals));
-  }
-  merged.partial = serving.size() < ids.size();
-
-  const double merge_cycles =
-      static_cast<double>(serving.size()) * req.cost.shard_merge_task_cycles +
-      static_cast<double>(merge_units) * req.cost.agg_update_cycles;
-  merged.sim_cycles = parallel_cycles + static_cast<uint64_t>(merge_cycles);
-
-  if (ctx.profile != nullptr) {
-    fill_profile_ops();
-    obs::QueryProfile* prof = ctx.profile;
-    obs::OpStats merge_op;
-    std::ostringstream name;
-    name << "Merge[workers=" << sim_workers << "]";
-    merge_op.name = name.str();
-    merge_op.rows_in = merged.rows_matched;
-    merge_op.rows_out =
-        merged.groups.empty() ? merged.rows_matched : merged.groups.size();
-    merge_op.cpu_cycles = merge_cycles;
-    prof->ops.push_back(std::move(merge_op));
-    prof->total_cycles = static_cast<double>(merged.sim_cycles);
-  }
-
-  span.AddArg("rows_matched", merged.rows_matched);
-  span.AddArg("sim_workers", sim_workers);
-  return merged;
-}
-
-StatusOr<engine::QueryResult> ShardScheduler::ExecuteDistributed(
-    const Request& req, const ExecContext& ctx) {
-  const std::vector<uint32_t>& ids = *req.shard_ids;
-  const uint32_t total = req.table->num_shards();
-  const uint32_t replicas = req.table->num_replicas();
-  const net::Placement placement = req.table->placement();
-  const uint64_t now = ctx.tracer != nullptr ? ctx.tracer->Now() : 0;
-  ++queries_;
-
-  obs::Span span(ctx.tracer, "query.shard_fanout", "query");
-  span.AddArg("backend", std::string(BackendToString(req.backend)));
-  span.AddArg("shards_scanned", ids.size());
-  span.AddArg("shards_total", total);
-  span.AddArg("nodes", topology_.nodes());
-
-  const PartialPlan pp = MakePartialPlan(*req.spec);
-  std::vector<ShardRun> runs(ids.size());
-
-  // --- pre-fan-out, single-threaded: route each shard to the node of
-  // its serving replica. Replica j of shard i lives on the node the
-  // placement maps it to; the replica serves only if both the node and
-  // the replica itself are alive, with one "node.kill" draw on the node
-  // and one "shard.kill" draw on the replica per selection attempt. A
-  // dead node therefore fails all its replicas over to other nodes in
-  // one shard-major deterministic sweep.
-  std::vector<size_t> serving;  // indices into ids/runs
-  serving.reserve(ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    int picked = -1;
-    uint32_t failovers = 0;
-    for (uint32_t j = 0; j < replicas; ++j) {
-      const uint32_t node = topology_.NodeFor(ids[i], j, total, placement);
-      const std::string node_name = net::Topology::NodeName(node);
-      const std::string name = ReplicaName(req.table_name, ids[i], j);
-      if (ctx.health != nullptr) {
-        if (!ctx.health->alive(node_name)) {
-          ++failovers;
-          continue;
-        }
-        if (ctx.health->DrawKill("node.kill", node_name, now)) {
-          ++failovers;
-          continue;
-        }
-        if (!ctx.health->alive(name)) {
-          ++failovers;
-          continue;
-        }
-        if (ctx.health->DrawKill("shard.kill", name, now)) {
-          ++failovers;
-          continue;
-        }
-      }
-      picked = static_cast<int>(j);
-      runs[i].node = node;
-      break;
-    }
-    runs[i].failovers = failovers;
-    if (picked < 0) {
-      runs[i].serving = false;
-      ++shards_unavailable_;
-      if (ctx.recorder != nullptr) {
-        ctx.recorder->Log("shard",
-                          "shard " + std::to_string(ids[i]) + " of '" +
-                              req.table_name + "' unavailable: all " +
-                              std::to_string(replicas) +
-                              " replica(s) dead or on dead nodes",
-                          now);
-      }
-      if (!ctx.options.allow_partial) {
-        return Status::Unavailable(
-            "shard " + std::to_string(ids[i]) + " of '" + req.table_name +
-            "' has no live replica (" + std::to_string(replicas) +
-            " replica(s) dead or on dead nodes); set allow_partial to "
-            "answer from the survivors");
-      }
-      continue;
-    }
-    runs[i].replica = picked;
-    runs[i].ship = req.ship != nullptr && i < req.ship->size()
-                       ? (*req.ship)[i]
-                       : net::ShipMode::kAggs;
-    serving.push_back(i);
-  }
-
-  // --- fan out: shards grouped by serving node, one host task per node.
-  // A node's shards run sequentially on that node's own rig in shard
-  // order, so exactly one host worker ever touches a node rig during
-  // the fan-out — cycles are bit-identical at any host thread count.
-  std::map<uint32_t, std::vector<size_t>> by_node;
-  for (const size_t i : serving) by_node[runs[i].node].push_back(i);
-  std::vector<std::pair<uint32_t, const std::vector<size_t>*>> node_tasks;
-  node_tasks.reserve(by_node.size());
-  for (const auto& [node, list] : by_node) {
-    node_tasks.emplace_back(node, &list);
-  }
-
-  int host = host_threads_ > 0
-                 ? host_threads_
-                 : static_cast<int>(std::thread::hardware_concurrency());
-  if (host < 1) host = 1;
-  if (static_cast<size_t>(host) > node_tasks.size()) {
-    host = static_cast<int>(node_tasks.size());
-  }
-  std::atomic<size_t> next{0};
-  auto worker = [&]() {
-    for (;;) {
-      const size_t pick = next.fetch_add(1);
-      if (pick >= node_tasks.size()) break;
-      NodeGroup::NodeRig& rig = nodes_->rig(node_tasks[pick].first);
-      for (const size_t i : *node_tasks[pick].second) {
-        RunShardTask(req, pp.spec, ctx, ids[i], &rig.memory, &rig.rm,
-                     &runs[i]);
-      }
-    }
-  };
-  if (host <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<size_t>(host));
-    for (int t = 0; t < host; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
-
-  // --- post-join, single-threaded, shard-major from here on ---
-  for (const size_t i : serving) {
-    if (!runs[i].status.ok()) return runs[i].status;
-  }
-
-  // Failover surcharge (dead replicas and dead nodes alike: detection
-  // is a missed heartbeat either way).
-  for (const size_t i : serving) {
-    runs[i].cycles += static_cast<uint64_t>(
-        static_cast<double>(runs[i].failovers) *
-        req.cost.shard_failover_cycles);
-    shards_failed_over_ += runs[i].failovers;
-  }
-
-  // --- node-side serialization: price each shard's transfer and charge
-  // the pack cost to the producing node's clock. Both ship modes carry
-  // the identical partial result; only the wire format differs.
-  const layout::Schema& schema = req.table->schema();
-  uint32_t row_bytes = 0;
-  for (uint32_t c : req.spec->ReferencedColumns(schema)) {
-    row_bytes += schema.width(c);
-  }
-  const uint32_t key_bytes =
-      static_cast<uint32_t>(req.spec->group_by.size()) * 8;
-  const size_t slots = pp.spec.aggregates.size();
-  const net::NetworkModel netm(topology_.network(),
-                               req.cost.net_serialize_row_cycles,
-                               req.cost.net_serialize_agg_cycles);
-  for (const size_t i : serving) {
-    ShardRun& run = runs[i];
-    const engine::QueryResult& r = run.result;
-    if (run.ship == net::ShipMode::kRows) {
-      run.transfer = netm.ShipRows(r.rows_matched, row_bytes);
-    } else {
-      const uint64_t groups = req.spec->group_by.empty()
-                                  ? (slots > 0 && r.rows_matched > 0 ? 1 : 0)
-                                  : r.groups.size();
-      run.transfer = netm.ShipAggs(groups, key_bytes, slots);
-    }
-    run.cycles += static_cast<uint64_t>(run.transfer.serialize_cycles);
-  }
-
-  // --- cycle model: each node's clock is the sum of its shards' scan +
-  // serialize cycles (they run sequentially where the data lives); the
-  // fan-out costs max-over-nodes. Deadlines are evaluated on the node
-  // clocks, shard-major, exactly like the single-host simulated workers.
-  std::vector<uint64_t> node_clock(topology_.nodes(), 0);
-  const uint64_t deadline = ctx.options.deadline_cycles;
-  size_t cancelled_count = 0;
-  for (const size_t i : serving) {
-    uint64_t& clock = node_clock[runs[i].node];
-    clock += runs[i].cycles;
-    if (deadline > 0 && clock > deadline) {
-      runs[i].cancelled = true;
-      ++cancelled_count;
-    }
-  }
-  uint64_t parallel_cycles = 0;
-  for (uint64_t c : node_clock) {
-    parallel_cycles = std::max(parallel_cycles, c);
-  }
-  shards_cancelled_ += cancelled_count;
-
-  // --- circuit-breaker reports, shard order (cancelled shards report
-  // nothing: they neither succeeded nor failed) ---
-  if (ctx.health != nullptr) {
-    for (const size_t i : serving) {
-      const ShardRun& run = runs[i];
-      if (run.cancelled) continue;
-      const std::string name = ReplicaName(
+      const std::string name = shard::ReplicaName(
           req.table_name, ids[i], static_cast<uint32_t>(run.replica));
       if (run.degraded) {
         if (run.exhausted > 0) {
@@ -787,7 +440,7 @@ StatusOr<engine::QueryResult> ShardScheduler::ExecuteDistributed(
   }
 
   // --- meters + degradation + network bookkeeping (shard order,
-  // completed only) ---
+  // completed only; the net.* side is cluster-only) ---
   shards_scanned_ += serving.size();
   shards_pruned_ += total - ids.size();
   uint64_t query_net_bytes = 0;
@@ -806,29 +459,27 @@ StatusOr<engine::QueryResult> ShardScheduler::ExecuteDistributed(
       ctx.digests->Observe("shard.cycles", static_cast<double>(run.cycles));
       ctx.digests->Observe("shard." + std::to_string(ids[i]) + ".cycles",
                            static_cast<double>(run.cycles));
-      ctx.digests->Observe("net.shard.bytes",
-                           static_cast<double>(run.transfer.payload_bytes));
     }
-    net_bytes_ += run.transfer.payload_bytes;
-    net_messages_ += run.transfer.messages;
-    query_net_bytes += run.transfer.payload_bytes;
-    query_net_messages += run.transfer.messages;
-    query_node_bytes[run.node] += run.transfer.payload_bytes;
-    if (run.node < node_bytes_.size()) {
-      node_bytes_[run.node] += run.transfer.payload_bytes;
-    }
-    if (run.ship == net::ShipMode::kRows) {
-      ++shards_ship_rows_;
-      ++query_ship_rows;
-      net_rows_shipped_ += run.result.rows_matched;
-    } else {
-      ++shards_ship_aggs_;
-      ++query_ship_aggs;
-      net_agg_values_shipped_ +=
-          (req.spec->group_by.empty()
-               ? (slots > 0 && run.result.rows_matched > 0 ? 1 : 0)
-               : run.result.groups.size()) *
-          slots;
+    if (cluster) {
+      const uint64_t bytes = run.transfer.payload_bytes;
+      if (ctx.digests != nullptr) {
+        ctx.digests->Observe("net.shard.bytes", static_cast<double>(bytes));
+      }
+      net_bytes_ += bytes;
+      net_messages_ += run.transfer.messages;
+      query_net_bytes += bytes;
+      query_net_messages += run.transfer.messages;
+      query_node_bytes[run.node] += bytes;
+      if (run.node < node_bytes_.size()) node_bytes_[run.node] += bytes;
+      if (run.ship == net::ShipMode::kRows) {
+        ++shards_ship_rows_;
+        ++query_ship_rows;
+        net_rows_shipped_ += run.result.rows_matched;
+      } else {
+        ++shards_ship_aggs_;
+        ++query_ship_aggs;
+        net_agg_values_shipped_ += agg_rows(run.result) * slots;
+      }
     }
     faults_injected_ += run.injected;
     if (run.degraded) {
@@ -889,8 +540,10 @@ StatusOr<engine::QueryResult> ShardScheduler::ExecuteDistributed(
       prof->shards_failed_over += run.failovers;
       name << BackendToString(req.backend);
       if (run.degraded) name << "->ROW";
-      name << " node=" << run.node
-           << " ship=" << net::ShipModeToString(run.ship);
+      if (cluster) {
+        name << " node=" << run.node
+             << " ship=" << net::ShipModeToString(run.ship);
+      }
       if (run.replica > 0) {
         name << " replica=" << run.replica << " (failover)";
       }
@@ -912,35 +565,37 @@ StatusOr<engine::QueryResult> ShardScheduler::ExecuteDistributed(
   if (cancelled_count > 0) {
     // Deadline expiry: the merge never runs; the profile survives with
     // per-shard ops intact and the total clamped to the deadline.
+    const std::string limit =
+        "deadline of " + std::to_string(deadline) + " cycles";
+    const std::string counts = std::to_string(cancelled_count) + " of " +
+                               std::to_string(serving.size()) +
+                               " shard(s) cancelled";
     if (ctx.recorder != nullptr) {
-      ctx.recorder->Log("shard",
-                        "deadline of " + std::to_string(deadline) +
-                            " cycles exceeded: " +
-                            std::to_string(cancelled_count) + " of " +
-                            std::to_string(serving.size()) +
-                            " shard(s) cancelled",
-                        now);
+      ctx.recorder->Log("shard", limit + " exceeded: " + counts, now);
     }
     if (ctx.profile != nullptr) {
       fill_profile_ops();
       ctx.profile->total_cycles = static_cast<double>(deadline);
     }
-    return Status::DeadlineExceeded(
-        "query exceeded deadline of " + std::to_string(deadline) +
-        " cycles: " + std::to_string(cancelled_count) + " of " +
-        std::to_string(serving.size()) + " shard(s) cancelled");
+    return Status::DeadlineExceeded("query exceeded " + limit + ": " + counts);
   }
 
   // --- merge, shard-major over the serving shards. The value merge is
-  // identical to the single-host path (ship modes are timing aliases);
-  // what differs is the coordinator's clock, charged below. ---
+  // the same everywhere (ship modes are timing aliases); the coordinator
+  // clock is charged per shard, in shard order: the transfer's wire
+  // occupancy plus the handoff, then the per-unit merge work. Single-host
+  // that is one aggregate update per partial slot; in a cluster ship=rows
+  // deserializes and replays every shipped row into the partial
+  // aggregates, and ship=aggs deserializes and merges per shipped value.
   engine::QueryResult merged;
   std::vector<double> flat(slots, 0);
   std::vector<bool> flat_any(slots, false);
   std::map<engine::GroupKey, std::vector<double>> groups;
+  double coordinator_cycles = 0;
 
   for (const size_t i : serving) {
-    const engine::QueryResult& r = runs[i].result;
+    const ShardRun& run = runs[i];
+    const engine::QueryResult& r = run.result;
     merged.rows_scanned += r.rows_scanned;
     merged.rows_matched += r.rows_matched;
     merged.projection_checksum += r.projection_checksum;
@@ -959,6 +614,23 @@ StatusOr<engine::QueryResult> ShardScheduler::ExecuteDistributed(
         }
       }
     }
+
+    coordinator_cycles +=
+        run.transfer.wire_cycles + req.cost.shard_merge_task_cycles;
+    if (!cluster) {
+      coordinator_cycles +=
+          static_cast<double>(slots + r.groups.size() * slots) *
+          req.cost.agg_update_cycles;
+    } else if (run.ship == net::ShipMode::kRows) {
+      coordinator_cycles +=
+          static_cast<double>(r.rows_matched) *
+          (req.cost.net_serialize_row_cycles +
+           static_cast<double>(slots) * req.cost.agg_update_cycles);
+    } else {
+      coordinator_cycles +=
+          static_cast<double>(agg_rows(r) * slots) *
+          (req.cost.net_serialize_agg_cycles + req.cost.agg_update_cycles);
+    }
   }
 
   if (!req.spec->aggregates.empty() && req.spec->group_by.empty()) {
@@ -969,33 +641,6 @@ StatusOr<engine::QueryResult> ShardScheduler::ExecuteDistributed(
     merged.groups.emplace_back(key, FinalizeSlots(*req.spec, pp, vals));
   }
   merged.partial = serving.size() < ids.size();
-
-  // --- coordinator ingest, serial and shard-major: per shard, the wire
-  // occupancy of its transfer plus the handoff, then the per-unit
-  // deserialize + merge work — rows replay every shipped row into the
-  // partial aggregates; aggs merge per shipped value.
-  double coordinator_cycles = 0;
-  for (const size_t i : serving) {
-    const ShardRun& run = runs[i];
-    const engine::QueryResult& r = run.result;
-    coordinator_cycles +=
-        run.transfer.wire_cycles + req.cost.shard_merge_task_cycles;
-    if (run.ship == net::ShipMode::kRows) {
-      coordinator_cycles +=
-          static_cast<double>(r.rows_matched) *
-          (req.cost.net_serialize_row_cycles +
-           static_cast<double>(slots) * req.cost.agg_update_cycles);
-    } else {
-      const uint64_t values =
-          (req.spec->group_by.empty()
-               ? (slots > 0 && r.rows_matched > 0 ? 1 : 0)
-               : r.groups.size()) *
-          slots;
-      coordinator_cycles +=
-          static_cast<double>(values) *
-          (req.cost.net_serialize_agg_cycles + req.cost.agg_update_cycles);
-    }
-  }
   merged.sim_cycles =
       parallel_cycles + static_cast<uint64_t>(coordinator_cycles);
 
@@ -1003,9 +648,9 @@ StatusOr<engine::QueryResult> ShardScheduler::ExecuteDistributed(
     fill_profile_ops();
     obs::QueryProfile* prof = ctx.profile;
     obs::OpStats merge_op;
-    std::ostringstream name;
-    name << "NetMerge[nodes=" << topology_.nodes() << "]";
-    merge_op.name = name.str();
+    merge_op.name =
+        cluster ? "NetMerge[nodes=" + std::to_string(topology_.nodes()) + "]"
+                : "Merge[workers=" + std::to_string(sim_workers) + "]";
     merge_op.rows_in = merged.rows_matched;
     merge_op.rows_out =
         merged.groups.empty() ? merged.rows_matched : merged.groups.size();
@@ -1015,7 +660,11 @@ StatusOr<engine::QueryResult> ShardScheduler::ExecuteDistributed(
   }
 
   span.AddArg("rows_matched", merged.rows_matched);
-  span.AddArg("net_bytes", query_net_bytes);
+  if (cluster) {
+    span.AddArg("net_bytes", query_net_bytes);
+  } else {
+    span.AddArg("sim_workers", sim_workers);
+  }
   return merged;
 }
 

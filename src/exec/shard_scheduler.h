@@ -21,14 +21,19 @@
 
 namespace relfab::exec {
 
-class NodeGroup;
+/// Partial-aggregate slots a shard result carries for `spec`: one per
+/// aggregate, plus one hidden COUNT shared by every AVG (AVG ships as a
+/// SUM and is divided by the merged COUNT after the fan-out). The
+/// planner prices ship=aggs transfers with this count.
+size_t PartialSlotCount(const engine::QuerySpec& spec);
 
 /// Parallel shard fan-out: runs one scan per surviving shard on a pool
 /// of host worker threads and merges the partial results shard-major.
+/// One path serves a single host and a cluster alike.
 ///
-/// Determinism contract (the property shard_exec_test pins): answers
-/// AND simulated cycles are bit-identical at any host thread count.
-/// Three mechanisms deliver it:
+/// Determinism contract (the property shard_exec_test and net_test pin):
+/// answers AND simulated cycles are bit-identical at any host thread
+/// count. Three mechanisms deliver it:
 ///
 ///  1. Worker-private sim rigs (bench_util.h's PerWorker pattern): each
 ///     host worker owns a private MemorySystem + RmEngine, so shard
@@ -37,16 +42,29 @@ class NodeGroup;
 ///     task: the rig is returned to the cold, freshly-booted state —
 ///     including the simulated allocator — so a shard's cycles are a
 ///     pure function of (sim params, shard data, query), independent of
-///     which rig ran it or what that rig ran before.
+///     which rig ran it or what that rig ran before. Rigs are therefore
+///     interchangeable host-side resources, never simulated places.
 ///  3. Shard-major merge: partials are combined in shard-id order after
 ///     all tasks joined, never in completion order.
 ///
-/// Cycle semantics: the surviving shards are dealt shard-major onto P
-/// *simulated* workers (P = QueryOptions::max_threads, or one per shard
-/// when <= 0); each simulated worker's time is the sum of its shards'
-/// cycles; the fan-out costs max-over-workers (they run in parallel)
-/// plus the host-side merge of the partials. Host threads only change
-/// wall time.
+/// Cycle semantics: each serving shard is charged to a simulated clock.
+/// Single-host, the shards are dealt shard-major onto P *simulated*
+/// workers (P = QueryOptions::max_threads, or one per shard when <= 0).
+/// With a cluster configured (docs/scaling.md "Distributed fabric"), the
+/// clock is the node hosting the shard's serving replica
+/// (net::Topology placement), so the fan-out width is the node count.
+/// A clock's time is the sum of its shards' cycles; the fan-out costs
+/// max-over-clocks (they run in parallel) plus the coordinator's merge
+/// of the partials. Host threads only change wall time.
+///
+/// Each shard's partial reaches the coordinator as a net::Transfer.
+/// Single-host it is a zero loopback transfer. In a cluster it is priced
+/// by net::NetworkModel — ship=rows sends the matching rows' referenced
+/// columns, ship=aggs sends merged partial aggregates; both compute the
+/// identical partial spec, so the mode is a timing alias and answers
+/// never change. The serialize cost lands on the shard's node clock; the
+/// coordinator ingests transfers serially (shard-major) and pays wire +
+/// deserialize + merge cycles on top of the slowest node.
 ///
 /// Per-shard fault isolation: each shard task gets a private
 /// FaultInjector seeded from (plan seed, shard id), so a fault hits the
@@ -57,7 +75,8 @@ class NodeGroup;
 ///
 /// Failure domains (docs/robustness.md): before fan-out the scheduler
 /// selects, per shard, the lowest-index live replica — consulting
-/// ctx.health for liveness and drawing one "shard.kill" opportunity per
+/// ctx.health for liveness and drawing one "shard.kill" opportunity (and
+/// in a cluster one "node.kill" on the replica's node first) per
 /// selection attempt — and charges CostModel::shard_failover_cycles per
 /// dead replica skipped. A shard with no live replica fails the query
 /// with kUnavailable (or is skipped with QueryResult::partial under
@@ -67,22 +86,6 @@ class NodeGroup;
 /// QueryOptions::deadline_cycles set, shards whose simulated completion
 /// lands past the deadline are cancelled and the query fails with
 /// kDeadlineExceeded, EXPLAIN ANALYZE profile intact.
-///
-/// Distributed mode (docs/scaling.md "Distributed fabric"): after
-/// ConfigureCluster the anonymous simulated workers become *named
-/// simulated nodes*, each with its own NodeGroup rig. Shards run on the
-/// node hosting their serving replica (net::Topology placement); a node's
-/// shards run sequentially on its clock and nodes run in parallel, so the
-/// fan-out width is the node count. Each shard's partial crosses the
-/// simulated network priced by net::NetworkModel — ship=rows sends the
-/// matching rows' referenced columns, ship=aggs sends merged partial
-/// aggregates; both compute the identical partial spec, so the mode is a
-/// timing alias and answers never change. The coordinator ingests
-/// transfers serially (shard-major) and pays wire + deserialize + merge
-/// cycles on top of the slowest node. Node death ("node.kill") fails a
-/// replica over exactly like replica death; one host worker drives one
-/// node, preserving bit-identical answers AND cycles at any host thread
-/// count.
 class ShardScheduler {
  public:
   // Both out of line: Rig is incomplete here.
@@ -124,15 +127,12 @@ class ShardScheduler {
   void set_host_threads(int n) { host_threads_ = n; }
   int host_threads() const { return host_threads_; }
 
-  /// Switches the scheduler into distributed mode: builds one NodeGroup
-  /// rig per node of `topology` and routes every subsequent fan-out
-  /// through the node/network path. A disabled topology returns to the
-  /// single-host path. Reconfiguring rebuilds the rigs cold.
+  /// Switches the scheduler into distributed mode: every subsequent
+  /// fan-out charges shards to the clocks of `topology`'s nodes and
+  /// prices their partials as network transfers. A disabled topology
+  /// returns to single-host execution.
   void ConfigureCluster(const net::Topology& topology);
   const net::Topology& topology() const { return topology_; }
-
-  /// The per-node simulation rigs; nullptr outside distributed mode.
-  NodeGroup* node_group() { return nodes_.get(); }
 
   // --- lifetime counters (across all Execute calls) ---
   uint64_t queries() const { return queries_; }
@@ -170,20 +170,14 @@ class ShardScheduler {
   struct ShardRun;
 
   Rig& RigForSlot(int slot);
-  /// One shard scan on an explicit rig (worker-private or per-node).
+  /// One shard scan on the calling worker's rig.
   void RunShardTask(const Request& req, const engine::QuerySpec& partial_spec,
-                    const ExecContext& ctx, uint32_t shard_id,
-                    sim::MemorySystem* memory, relmem::RmEngine* rm,
+                    const ExecContext& ctx, uint32_t shard_id, Rig* rig,
                     ShardRun* out);
-
-  /// The node/network fan-out path (topology_ enabled).
-  StatusOr<engine::QueryResult> ExecuteDistributed(const Request& req,
-                                                   const ExecContext& ctx);
 
   sim::SimParams sim_params_;
   int host_threads_ = 0;
   net::Topology topology_;
-  std::unique_ptr<NodeGroup> nodes_;
 
   Mutex rig_mu_;
   /// The slot vector is guarded; each built Rig itself is worker-private

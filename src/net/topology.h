@@ -46,9 +46,9 @@ inline StatusOr<Placement> PlacementFromString(std::string_view name) {
 ///   fabric.ConfigureCluster({.nodes = 4});
 ///   fabric.ConfigureCluster({.nodes = 8, .network = {.mtu_bytes = 1500}});
 struct ClusterConfig {
-  /// Simulated nodes (>= 1). Each gets its own MemorySystem/RmEngine
-  /// rig (exec::NodeGroup); the shard scheduler deals shards to nodes
-  /// and prices coordinator merges as network transfers.
+  /// Simulated nodes (>= 1), each a clock in the cycle model: the shard
+  /// scheduler charges every shard to its serving replica's node and
+  /// prices coordinator merges as network transfers.
   uint32_t nodes = 1;
   /// Inter-node link model; defaults to sim::NetworkParams defaults
   /// (the same values a default-constructed SimParams carries).

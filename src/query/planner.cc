@@ -6,6 +6,9 @@
 #include <set>
 #include <sstream>
 
+#include "exec/shard_scheduler.h"
+#include "shard/sharded_table.h"
+
 namespace relfab::query {
 
 namespace {
@@ -295,15 +298,7 @@ void Planner::ChooseShipModes(const shard::ShardedTable& table,
   const uint32_t row_bytes =
       TotalWidth(schema, spec.ReferencedColumns(schema));
   const uint32_t key_bytes = static_cast<uint32_t>(spec.group_by.size()) * 8;
-  // Partial slot count, mirroring the scheduler's decomposition: AVG
-  // ships as SUM plus one shared hidden COUNT denominator.
-  size_t slots = spec.aggregates.size();
-  for (const engine::AggSpec& agg : spec.aggregates) {
-    if (agg.func == engine::AggFunc::kAvg) {
-      ++slots;
-      break;
-    }
-  }
+  const size_t slots = exec::PartialSlotCount(spec);
   const bool keyed_groups =
       std::find(spec.group_by.begin(), spec.group_by.end(),
                 table.key_column()) != spec.group_by.end();
@@ -422,9 +417,7 @@ StatusOr<Plan> Planner::MakeShardedPlan(
     for (uint32_t s : plan.shards.shard_ids) {
       bool any_live = false;
       for (uint32_t j = 0; j < table.num_replicas() && !any_live; ++j) {
-        bool live = health_->alive(parsed.table + ".shard" +
-                                   std::to_string(s) + ".r" +
-                                   std::to_string(j));
+        bool live = health_->alive(shard::ReplicaName(parsed.table, s, j));
         if (live && distributed) {
           // A replica on a dead node is as dead as the replica itself.
           const uint32_t node = topology_->NodeFor(

@@ -6,6 +6,12 @@
 
 namespace relfab::shard {
 
+std::string ReplicaName(const std::string& table, uint32_t shard,
+                        uint32_t replica) {
+  return table + ".shard" + std::to_string(shard) + ".r" +
+         std::to_string(replica);
+}
+
 StatusOr<ShardedTable> ShardedTable::Create(layout::Schema schema,
                                             uint32_t key_column,
                                             sim::MemorySystem* memory,

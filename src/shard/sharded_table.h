@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/statusor.h"
@@ -34,6 +35,12 @@ struct ShardedTableOptions {
   /// configured (Fabric::ConfigureCluster); ignored single-host.
   net::Placement placement = net::Placement::kRoundRobin;
 };
+
+/// Failure-domain component name of replica `replica` of shard `shard`
+/// of the catalog table `table`: "<table>.shard<i>.r<j>". The scheduler,
+/// the planner and the cluster description all name replicas this way.
+std::string ReplicaName(const std::string& table, uint32_t shard,
+                        uint32_t replica);
 
 /// Range-sharded relation (paper §III-A): horizontal partitioning is a
 /// physical-design-time decision that Relational Fabric composes with —

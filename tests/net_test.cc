@@ -336,11 +336,12 @@ TEST(NetExecTest, DistributedAnswersMatchSingleHost) {
 }
 
 /// Runs the workload on a fresh 3-node cluster and returns
-/// (answers, cycles) for the determinism pins. The simulator mode is
-/// chosen via RELFAB_SIM_FAST_PATH before any rig is built so the node
-/// rigs inherit it.
+/// (answers, cycles, EXPLAIN ANALYZE profiles) for the determinism pins.
+/// The simulator mode is chosen via RELFAB_SIM_FAST_PATH before any rig
+/// is built so the rigs inherit it.
 struct ClusterRun {
   std::vector<engine::QueryResult> results;
+  std::vector<obs::QueryProfile> profiles;
 };
 
 ClusterRun RunCluster(const char* fast_path, int host_threads) {
@@ -351,7 +352,10 @@ ClusterRun RunCluster(const char* fast_path, int host_threads) {
   for (const std::string& sql : kWorkload) {
     auto r = fabric->ExecuteSql(sql, {.analyze = true});
     EXPECT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
-    if (r.ok()) out.results.push_back(std::move(r->result));
+    if (r.ok()) {
+      out.results.push_back(std::move(r->result));
+      out.profiles.push_back(std::move(r->profile));
+    }
   }
   unsetenv("RELFAB_SIM_FAST_PATH");
   return out;
@@ -360,8 +364,10 @@ ClusterRun RunCluster(const char* fast_path, int host_threads) {
 TEST(NetExecTest, AnswersAndCyclesBitIdenticalAcrossThreadsAndSimModes) {
   const ClusterRun baseline = RunCluster("1", 1);
   ASSERT_EQ(baseline.results.size(), kWorkload.size());
+  // 8 host workers against 3 nodes: fan-outs use more host threads than
+  // there are simulated nodes, and nothing simulated may notice.
   for (const char* fast : {"1", "0"}) {
-    for (const int host_threads : {1, 4}) {
+    for (const int host_threads : {1, 4, 8}) {
       if (fast[0] == '1' && host_threads == 1) continue;  // the baseline
       SCOPED_TRACE(std::string("fast_path=") + fast + " host_threads=" +
                    std::to_string(host_threads));
@@ -371,6 +377,13 @@ TEST(NetExecTest, AnswersAndCyclesBitIdenticalAcrossThreadsAndSimModes) {
         SCOPED_TRACE(kWorkload[i]);
         ExpectSameAnswer(run.results[i], baseline.results[i]);
         EXPECT_EQ(run.results[i].sim_cycles, baseline.results[i].sim_cycles);
+        const std::vector<obs::OpStats>& ops = run.profiles[i].ops;
+        const std::vector<obs::OpStats>& want = baseline.profiles[i].ops;
+        ASSERT_EQ(ops.size(), want.size());
+        for (size_t o = 0; o < ops.size(); ++o) {
+          EXPECT_EQ(ops[o].name, want[o].name);
+          EXPECT_EQ(ops[o].cpu_cycles, want[o].cpu_cycles) << ops[o].name;
+        }
       }
     }
   }

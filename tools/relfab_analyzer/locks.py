@@ -3,7 +3,7 @@
 clang's -Wthread-safety is single-TU: a method defined out-of-line in
 a .cc it doesn't see, or a helper in another file, can touch a guarded
 member without the analysis noticing (historically the ShardScheduler
-and NodeGroup rig pools were exactly this shape). This pass rebuilds
+rig pool was exactly this shape). This pass rebuilds
 the check over the whole program model:
 
   for every member annotated RELFAB_GUARDED_BY(mu) in any class, every
