@@ -265,7 +265,6 @@ StatusOr<Fabric::SqlResult> Fabric::ExecuteSqlInternal(
   ctx.health = &health_;
   if (telemetry_ != nullptr) {
     ctx.digests = &telemetry_->digests();
-    ctx.query_log = &telemetry_->query_log();
     ctx.recorder = &telemetry_->flight_recorder();
   }
   ctx.options = options;
@@ -288,6 +287,7 @@ StatusOr<Fabric::SqlResult> Fabric::ExecuteSql(std::string_view sql,
       injector_ != nullptr ? injector_->total_retries() : 0;
   const uint64_t fallbacks_before =
       injector_ != nullptr ? injector_->total_fallbacks() : 0;
+  const uint64_t scanned_before = scheduler_.shards_scanned();
   const uint64_t failovers_before = scheduler_.shards_failed_over();
   const uint64_t net_bytes_before = scheduler_.net_bytes();
   const uint64_t ship_rows_before = scheduler_.shards_ship_rows();
@@ -295,44 +295,48 @@ StatusOr<Fabric::SqlResult> Fabric::ExecuteSql(std::string_view sql,
 
   StatusOr<SqlResult> run = ExecuteSqlInternal(sql, options);
 
-  obs::WorkloadTelemetry::Statement st;
-  st.sql = std::string(sql);
-  st.status_code = std::string(StatusCodeToString(
+  obs::QueryLogRecord record;
+  record.sql = std::string(sql);
+  record.status_code = std::string(StatusCodeToString(
       run.ok() ? StatusCode::kOk : run.status().code()));
-  st.shards_failed_over =
+  record.shards_failed_over =
       static_cast<uint32_t>(scheduler_.shards_failed_over() - failovers_before);
-  st.net_bytes = scheduler_.net_bytes() - net_bytes_before;
-  st.shards_ship_rows =
+  record.net_bytes = scheduler_.net_bytes() - net_bytes_before;
+  record.shards_ship_rows =
       static_cast<uint32_t>(scheduler_.shards_ship_rows() - ship_rows_before);
-  st.shards_ship_aggs =
+  record.shards_ship_aggs =
       static_cast<uint32_t>(scheduler_.shards_ship_aggs() - ship_aggs_before);
   if (run.ok()) {
-    st.table = run->plan.table;
-    st.backend = std::string(exec::BackendToString(run->plan.backend));
-    st.cycles = run->result.sim_cycles;
-    st.rows_scanned = run->result.rows_scanned;
-    st.rows_matched = run->result.rows_matched;
+    record.table = run->plan.table;
+    record.backend = std::string(exec::BackendToString(run->plan.backend));
+    record.cycles = run->result.sim_cycles;
+    record.rows_scanned = run->result.rows_scanned;
+    record.rows_matched = run->result.rows_matched;
     if (run->plan.shards.enabled) {
-      st.shards_total = run->plan.shards.shards_total;
-      st.shards_scanned =
+      // Scanned is what the scheduler scanned: under allow_partial a
+      // planned shard with no live replica is skipped, not scanned.
+      record.shards_total = run->plan.shards.shards_total;
+      record.shards_scanned =
+          static_cast<uint32_t>(scheduler_.shards_scanned() - scanned_before);
+      record.shards_pruned =
+          record.shards_total -
           static_cast<uint32_t>(run->plan.shards.shard_ids.size());
-      st.shards_pruned = st.shards_total - st.shards_scanned;
     }
   } else {
-    st.ok = false;
-    st.error = run.status().ToString();
+    record.status = "error";
+    record.error = run.status().ToString();
   }
   if (injector_ != nullptr) {
-    st.faults_injected = injector_->total_injected() - injected_before;
-    st.fault_retries = injector_->total_retries() - retries_before;
-    st.fault_fallbacks = injector_->total_fallbacks() - fallbacks_before;
+    record.faults_injected = injector_->total_injected() - injected_before;
+    record.fault_retries = injector_->total_retries() - retries_before;
+    record.fault_fallbacks = injector_->total_fallbacks() - fallbacks_before;
   }
-  if (st.fault_fallbacks > 0) {
-    st.degraded = true;
-    st.degradation = "fabric fault fallback (x" +
-                     std::to_string(st.fault_fallbacks) + ")";
+  if (record.fault_fallbacks > 0) {
+    record.degraded = true;
+    record.degradation = "fabric fault fallback (x" +
+                         std::to_string(record.fault_fallbacks) + ")";
   }
-  telemetry_->RecordStatement(st);
+  telemetry_->RecordStatement(std::move(record));
   telemetry_->Sample(CollectMetrics());
   return run;
 }
@@ -346,26 +350,26 @@ StatusOr<query::Plan> Fabric::ExplainSql(std::string_view sql,
 Status Fabric::ConfigureCluster(const net::ClusterConfig& config) {
   RELFAB_ASSIGN_OR_RETURN(net::Topology topology,
                           net::Topology::Make(config));
-  topology_ = topology;
-  scheduler_.ConfigureCluster(topology_);
-  planner_.set_topology(&topology_);
+  scheduler_.ConfigureCluster(topology);
+  planner_.set_topology(topology);
   return Status::Ok();
 }
 
 std::string Fabric::DescribeCluster() const {
   std::ostringstream os;
-  if (!topology_.enabled()) {
+  const net::Topology& topology = scheduler_.topology();
+  if (!topology.enabled()) {
     os << "no cluster configured (single-host mode); "
           "ConfigureCluster({.nodes = N}) enables the distributed fabric\n";
     return os.str();
   }
-  const sim::NetworkParams& np = topology_.network();
-  os << "=== cluster: " << topology_.nodes() << " node(s) ===\n"
+  const sim::NetworkParams& np = topology.network();
+  os << "=== cluster: " << topology.nodes() << " node(s) ===\n"
      << "  network: link_latency=" << np.link_latency_cycles
      << " cycles, bandwidth=" << np.bytes_per_cycle
      << " B/cycle, mtu=" << np.mtu_bytes << " B, header="
      << np.message_header_bytes << " B\n";
-  for (uint32_t k = 0; k < topology_.nodes(); ++k) {
+  for (uint32_t k = 0; k < topology.nodes(); ++k) {
     const std::string name = net::Topology::NodeName(k);
     os << "  " << name << ": "
        << (health_.alive(name) ? "alive" : "DEAD") << "\n";
@@ -377,12 +381,9 @@ std::string Fabric::DescribeCluster() const {
     for (uint32_t s = 0; s < table->num_shards(); ++s) {
       os << "    shard" << s << ":";
       for (uint32_t j = 0; j < table->num_replicas(); ++j) {
-        const uint32_t node = topology_.NodeFor(
-            s, j, table->num_shards(), table->placement());
-        const std::string replica = shard::ReplicaName(tname, s, j);
+        const uint32_t node = exec::ReplicaNode(topology, *table, s, j);
         os << " r" << j << "@" << net::Topology::NodeName(node);
-        if (!health_.alive(replica) ||
-            !health_.alive(net::Topology::NodeName(node))) {
+        if (!exec::ReplicaLive(health_, topology, *table, tname, s, j)) {
           os << "(DEAD)";
         }
       }

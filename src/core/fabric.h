@@ -202,7 +202,7 @@ class Fabric {
 
   /// The active cluster topology; disabled (nodes() == 0) until
   /// ConfigureCluster succeeds.
-  const net::Topology& topology() const { return topology_; }
+  const net::Topology& topology() const { return scheduler_.topology(); }
 
   /// Human-readable cluster view (the shell's `\cluster`): topology
   /// summary, per sharded table the shard → node/replica placement, and
@@ -288,7 +288,6 @@ class Fabric {
   query::Planner planner_;
   query::Executor executor_;
   exec::ShardScheduler scheduler_;
-  net::Topology topology_;
   obs::Registry registry_;
   obs::Tracer tracer_;
   std::unique_ptr<obs::WorkloadTelemetry> telemetry_;

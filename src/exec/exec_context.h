@@ -6,7 +6,6 @@
 #include "faults/injector.h"
 #include "obs/digest.h"
 #include "obs/flight_recorder.h"
-#include "obs/query_log.h"
 #include "obs/query_profile.h"
 #include "obs/trace.h"
 
@@ -44,10 +43,6 @@ struct ExecContext {
   /// cycles. Observations happen only in single-threaded post-join code,
   /// in shard order, so digests stay deterministic across host workers.
   obs::DigestSet* digests = nullptr;
-
-  /// Structured query log: one record per statement, appended by the
-  /// Fabric epilogue through this pointer.
-  obs::QueryLog* query_log = nullptr;
 
   /// Flight recorder for incident capture: degradations and fault hits
   /// are logged here as they happen (the dump trigger lives in the

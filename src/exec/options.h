@@ -78,8 +78,8 @@ struct QueryOptions {
   /// count (shards run where their data lives) and this knob is unused.
   int max_threads = 0;
 
-  /// Availability over completeness: when a shard has no live replica
-  /// (all killed), skip it and return the answer over the surviving
+  /// Availability over completeness: when none of a shard's replicas is
+  /// live (all killed), skip it and return the answer over the surviving
   /// shards with QueryResult::partial set, instead of failing the
   /// statement with kUnavailable. Default off — a partial aggregate is
   /// wrong unless the caller opted in.

@@ -81,6 +81,12 @@ bool HasAvg(const engine::QuerySpec& spec) {
                      });
 }
 
+/// Partial slots a shard result carries: one per aggregate plus the
+/// hidden COUNT shared by every AVG.
+size_t PartialSlotCount(const engine::QuerySpec& spec) {
+  return spec.aggregates.size() + (HasAvg(spec) ? 1 : 0);
+}
+
 PartialPlan MakePartialPlan(const engine::QuerySpec& spec) {
   PartialPlan pp;
   pp.spec = spec;
@@ -156,8 +162,67 @@ faults::FaultPlan PlanForShard(const faults::FaultPlan& base,
 
 }  // namespace
 
-size_t PartialSlotCount(const engine::QuerySpec& spec) {
-  return spec.aggregates.size() + (HasAvg(spec) ? 1 : 0);
+ShipPricer::ShipPricer(const layout::Schema& schema,
+                       const engine::QuerySpec& spec,
+                       const sim::NetworkParams& network,
+                       const engine::CostModel& cost)
+    : row_bytes_(0),
+      key_bytes_(static_cast<uint32_t>(spec.group_by.size()) * 8),
+      slots_(PartialSlotCount(spec)),
+      network_(network, cost.net_serialize_row_cycles,
+               cost.net_serialize_agg_cycles),
+      agg_update_cycles_(cost.agg_update_cycles) {
+  for (uint32_t c : spec.ReferencedColumns(schema)) {
+    row_bytes_ += schema.width(c);
+  }
+}
+
+net::Transfer ShipPricer::Ship(net::ShipMode mode, uint64_t units) const {
+  return mode == net::ShipMode::kRows
+             ? network_.ShipRows(units, row_bytes_)
+             : network_.ShipAggs(units, key_bytes_, slots_);
+}
+
+double ShipPricer::Ingest(net::ShipMode mode, double units) const {
+  if (mode == net::ShipMode::kRows) {
+    return units * (network_.serialize_row_cycles() +
+                    static_cast<double>(slots_) * agg_update_cycles_);
+  }
+  return units * static_cast<double>(slots_) *
+         (network_.serialize_agg_cycles() + agg_update_cycles_);
+}
+
+uint32_t ReplicaNode(const net::Topology& topology,
+                     const shard::ShardedTable& table, uint32_t shard,
+                     uint32_t replica) {
+  return topology.enabled() ? topology.NodeFor(shard, replica,
+                                               table.num_shards(),
+                                               table.placement())
+                            : 0;
+}
+
+bool ReplicaLive(const faults::HealthRegistry& health,
+                 const net::Topology& topology,
+                 const shard::ShardedTable& table,
+                 const std::string& table_name, uint32_t shard,
+                 uint32_t replica) {
+  return health.alive(shard::ReplicaName(table_name, shard, replica)) &&
+         (!topology.enabled() ||
+          health.alive(net::Topology::NodeName(
+              ReplicaNode(topology, table, shard, replica))));
+}
+
+UnavailableShard NoLiveReplica(const std::string& table_name, uint32_t shard,
+                               uint32_t replicas, bool cluster) {
+  const std::string what =
+      "shard " + std::to_string(shard) + " of '" + table_name + "'";
+  const std::string dead =
+      std::to_string(replicas) +
+      (cluster ? " replica(s) dead or on dead nodes" : " replica(s) dead");
+  return {Status::Unavailable(
+              what + " has no live replica (" + dead +
+              "); set allow_partial to answer from the survivors"),
+          what + " unavailable: all " + dead};
 }
 
 ShardScheduler::Rig& ShardScheduler::RigForSlot(int slot) {
@@ -267,31 +332,24 @@ StatusOr<engine::QueryResult> ShardScheduler::Execute(const Request& req,
   std::vector<ShardRun> runs(ids.size());
 
   // --- pre-fan-out, single-threaded: pick each shard's serving replica.
-  // Lowest-index live replica wins. In a cluster, replica j lives on the
-  // node the placement maps it to and serves only if both that node and
-  // the replica are alive; each selection attempt draws one "node.kill"
-  // on the node (cluster only) and one "shard.kill" on the replica, so
-  // replica j is never drawn until replicas 0..j-1 are dead. Selection
-  // runs before the pool and walks shards in shard-major order, so the
-  // death schedule is a pure function of (plan, workload) —
-  // bit-identical at any host thread count.
+  // Lowest-index live replica wins (ReplicaLive's rule); each selection
+  // attempt first draws one "node.kill" on the replica's node (cluster
+  // only) and one "shard.kill" on the replica, so replica j is never
+  // drawn until replicas 0..j-1 are dead. Selection runs before the pool
+  // and walks shards in shard-major order, so the death schedule is a
+  // pure function of (plan, workload) — bit-identical at any host thread
+  // count.
   const auto dead = [&](const char* site, const std::string& component) {
     return !ctx.health->alive(component) ||
            ctx.health->DrawKill(site, component, now);
   };
-  const std::string dead_replicas =
-      std::to_string(replicas) +
-      (cluster ? " replica(s) dead or on dead nodes" : " replica(s) dead");
   std::vector<size_t> serving;  // indices into ids/runs
   serving.reserve(ids.size());
   for (size_t i = 0; i < ids.size(); ++i) {
     ShardRun& run = runs[i];
     int picked = -1;
     for (uint32_t j = 0; j < replicas; ++j) {
-      const uint32_t node =
-          cluster ? topology_.NodeFor(ids[i], j, total,
-                                      req.table->placement())
-                  : 0;
+      const uint32_t node = ReplicaNode(topology_, *req.table, ids[i], j);
       if (ctx.health != nullptr &&
           ((cluster && dead("node.kill", net::Topology::NodeName(node))) ||
            dead("shard.kill",
@@ -306,17 +364,12 @@ StatusOr<engine::QueryResult> ShardScheduler::Execute(const Request& req,
     if (picked < 0) {
       run.serving = false;
       ++shards_unavailable_;
-      const std::string what =
-          "shard " + std::to_string(ids[i]) + " of '" + req.table_name + "'";
+      UnavailableShard unavailable =
+          NoLiveReplica(req.table_name, ids[i], replicas, cluster);
       if (ctx.recorder != nullptr) {
-        ctx.recorder->Log("shard", what + " unavailable: all " + dead_replicas,
-                          now);
+        ctx.recorder->Log("shard", unavailable.recorder_line, now);
       }
-      if (!ctx.options.allow_partial) {
-        return Status::Unavailable(
-            what + " has no live replica (" + dead_replicas +
-            "); set allow_partial to answer from the survivors");
-      }
+      if (!ctx.options.allow_partial) return std::move(unavailable.status);
       continue;
     }
     run.replica = picked;
@@ -359,24 +412,17 @@ StatusOr<engine::QueryResult> ShardScheduler::Execute(const Request& req,
     if (!runs[i].status.ok()) return runs[i].status;
   }
 
-  // Partial-aggregate rows a shard result carries (1 for a flat
-  // aggregate that matched anything).
-  const auto agg_rows = [&](const engine::QueryResult& r) -> uint64_t {
+  // Records a shard's partial ships as: its matching rows (ship=rows),
+  // or its partial-aggregate rows, 1 for a flat aggregate that matched
+  // anything (ship=aggs).
+  const auto ship_units = [&](const ShardRun& run) -> uint64_t {
+    const engine::QueryResult& r = run.result;
+    if (run.ship == net::ShipMode::kRows) return r.rows_matched;
     if (!req.spec->group_by.empty()) return r.groups.size();
     return slots > 0 && r.rows_matched > 0 ? 1 : 0;
   };
-  const layout::Schema& schema = req.table->schema();
-  uint32_t row_bytes = 0;
-  if (cluster) {
-    for (uint32_t c : req.spec->ReferencedColumns(schema)) {
-      row_bytes += schema.width(c);
-    }
-  }
-  const uint32_t key_bytes =
-      static_cast<uint32_t>(req.spec->group_by.size()) * 8;
-  const net::NetworkModel netm(topology_.network(),
-                               req.cost.net_serialize_row_cycles,
-                               req.cost.net_serialize_agg_cycles);
+  const ShipPricer pricer(req.table->schema(), *req.spec, topology_.network(),
+                          req.cost);
 
   // --- cycle model: each serving shard runs on one simulated clock —
   // single-host, the shard-major deal k % P onto P simulated workers; in
@@ -400,10 +446,7 @@ StatusOr<engine::QueryResult> ShardScheduler::Execute(const Request& req,
                                         req.cost.shard_failover_cycles);
     shards_failed_over_ += run.failovers;
     if (cluster) {
-      run.transfer =
-          run.ship == net::ShipMode::kRows
-              ? netm.ShipRows(run.result.rows_matched, row_bytes)
-              : netm.ShipAggs(agg_rows(run.result), key_bytes, slots);
+      run.transfer = pricer.Ship(run.ship, ship_units(run));
       run.cycles += static_cast<uint64_t>(run.transfer.serialize_cycles);
     }
     uint64_t& clock = clocks[cluster ? run.node : k % sim_workers];
@@ -474,11 +517,11 @@ StatusOr<engine::QueryResult> ShardScheduler::Execute(const Request& req,
       if (run.ship == net::ShipMode::kRows) {
         ++shards_ship_rows_;
         ++query_ship_rows;
-        net_rows_shipped_ += run.result.rows_matched;
+        net_rows_shipped_ += ship_units(run);
       } else {
         ++shards_ship_aggs_;
         ++query_ship_aggs;
-        net_agg_values_shipped_ += agg_rows(run.result) * slots;
+        net_agg_values_shipped_ += ship_units(run) * slots;
       }
     }
     faults_injected_ += run.injected;
@@ -584,9 +627,8 @@ StatusOr<engine::QueryResult> ShardScheduler::Execute(const Request& req,
   // the same everywhere (ship modes are timing aliases); the coordinator
   // clock is charged per shard, in shard order: the transfer's wire
   // occupancy plus the handoff, then the per-unit merge work. Single-host
-  // that is one aggregate update per partial slot; in a cluster ship=rows
-  // deserializes and replays every shipped row into the partial
-  // aggregates, and ship=aggs deserializes and merges per shipped value.
+  // that is one aggregate update per partial slot; in a cluster it is
+  // ShipPricer::Ingest, the price the planner chose the ship mode by.
   engine::QueryResult merged;
   std::vector<double> flat(slots, 0);
   std::vector<bool> flat_any(slots, false);
@@ -617,20 +659,10 @@ StatusOr<engine::QueryResult> ShardScheduler::Execute(const Request& req,
 
     coordinator_cycles +=
         run.transfer.wire_cycles + req.cost.shard_merge_task_cycles;
-    if (!cluster) {
-      coordinator_cycles +=
-          static_cast<double>(slots + r.groups.size() * slots) *
-          req.cost.agg_update_cycles;
-    } else if (run.ship == net::ShipMode::kRows) {
-      coordinator_cycles +=
-          static_cast<double>(r.rows_matched) *
-          (req.cost.net_serialize_row_cycles +
-           static_cast<double>(slots) * req.cost.agg_update_cycles);
-    } else {
-      coordinator_cycles +=
-          static_cast<double>(agg_rows(r) * slots) *
-          (req.cost.net_serialize_agg_cycles + req.cost.agg_update_cycles);
-    }
+    coordinator_cycles +=
+        cluster ? pricer.Ingest(run.ship, static_cast<double>(ship_units(run)))
+                : static_cast<double>(slots + r.groups.size() * slots) *
+                      req.cost.agg_update_cycles;
   }
 
   if (!req.spec->aggregates.empty() && req.spec->group_by.empty()) {

@@ -12,6 +12,8 @@
 #include "engine/query.h"
 #include "exec/exec_context.h"
 #include "exec/options.h"
+#include "faults/health.h"
+#include "layout/schema.h"
 #include "net/network_model.h"
 #include "net/topology.h"
 #include "obs/registry.h"
@@ -21,11 +23,58 @@
 
 namespace relfab::exec {
 
-/// Partial-aggregate slots a shard result carries for `spec`: one per
-/// aggregate, plus one hidden COUNT shared by every AVG (AVG ships as a
-/// SUM and is divided by the merged COUNT after the fan-out). The
-/// planner prices ship=aggs transfers with this count.
-size_t PartialSlotCount(const engine::QuerySpec& spec);
+/// Prices one shard's partial on its way to the coordinator, for the
+/// planner's rows-vs-aggs choice and the scheduler's charge alike. A
+/// partial is `units` records: matching rows of the referenced columns
+/// (ship=rows), or a group key plus one 8-byte slot per partial
+/// aggregate (ship=aggs; AVG ships as a SUM plus a shared hidden COUNT).
+class ShipPricer {
+ public:
+  ShipPricer(const layout::Schema& schema, const engine::QuerySpec& spec,
+             const sim::NetworkParams& network,
+             const engine::CostModel& cost);
+
+  /// The node -> coordinator transfer of `units` records.
+  net::Transfer Ship(net::ShipMode mode, uint64_t units) const;
+
+  /// Coordinator deserialize + merge of `units` records: units *
+  /// (ser_row + slots * agg_update) for ship=rows, units * slots *
+  /// (ser_agg + agg_update) for ship=aggs. A double, so the planner can
+  /// price fractional estimates.
+  double Ingest(net::ShipMode mode, double units) const;
+
+ private:
+  uint32_t row_bytes_;
+  uint32_t key_bytes_;
+  size_t slots_;
+  net::NetworkModel network_;
+  double agg_update_cycles_;
+};
+
+/// Node hosting replica `replica` of `table`'s shard `shard`: its
+/// placement node in a cluster, node 0 single-host.
+uint32_t ReplicaNode(const net::Topology& topology,
+                     const shard::ShardedTable& table, uint32_t shard,
+                     uint32_t replica);
+
+/// Whether a replica can serve, read without drawing a kill: it is
+/// alive and, in a cluster, so is its node. Replica selection applies
+/// the same rule after drawing "node.kill" and "shard.kill".
+bool ReplicaLive(const faults::HealthRegistry& health,
+                 const net::Topology& topology,
+                 const shard::ShardedTable& table,
+                 const std::string& table_name, uint32_t shard,
+                 uint32_t replica);
+
+/// A shard none of whose `replicas` can serve, spelled once: the
+/// kUnavailable status a query fails with (at plan time or at replica
+/// selection) and the flight-recorder line the scheduler logs.
+struct UnavailableShard {
+  Status status;
+  std::string recorder_line;
+};
+UnavailableShard NoLiveReplica(const std::string& table_name, uint32_t shard,
+                               uint32_t replicas, bool cluster);
 
 /// Parallel shard fan-out: runs one scan per surviving shard on a pool
 /// of host worker threads and merges the partial results shard-major.
@@ -57,14 +106,12 @@ size_t PartialSlotCount(const engine::QuerySpec& spec);
 /// max-over-clocks (they run in parallel) plus the coordinator's merge
 /// of the partials. Host threads only change wall time.
 ///
-/// Each shard's partial reaches the coordinator as a net::Transfer.
-/// Single-host it is a zero loopback transfer. In a cluster it is priced
-/// by net::NetworkModel — ship=rows sends the matching rows' referenced
-/// columns, ship=aggs sends merged partial aggregates; both compute the
-/// identical partial spec, so the mode is a timing alias and answers
-/// never change. The serialize cost lands on the shard's node clock; the
-/// coordinator ingests transfers serially (shard-major) and pays wire +
-/// deserialize + merge cycles on top of the slowest node.
+/// Each shard's partial reaches the coordinator as a net::Transfer: a
+/// zero loopback single-host, priced by ShipPricer in a cluster (ship
+/// modes are timing aliases; answers never change). The serialize cost
+/// lands on the shard's node clock; the coordinator ingests transfers
+/// serially (shard-major), paying wire + ShipPricer::Ingest on top of
+/// the slowest node.
 ///
 /// Per-shard fault isolation: each shard task gets a private
 /// FaultInjector seeded from (plan seed, shard id), so a fault hits the
@@ -74,12 +121,11 @@ size_t PartialSlotCount(const engine::QuerySpec& spec);
 /// still answers.
 ///
 /// Failure domains (docs/robustness.md): before fan-out the scheduler
-/// selects, per shard, the lowest-index live replica — consulting
-/// ctx.health for liveness and drawing one "shard.kill" opportunity (and
-/// in a cluster one "node.kill" on the replica's node first) per
-/// selection attempt — and charges CostModel::shard_failover_cycles per
-/// dead replica skipped. A shard with no live replica fails the query
-/// with kUnavailable (or is skipped with QueryResult::partial under
+/// selects, per shard, the lowest-index ReplicaLive replica, drawing
+/// one "node.kill" (cluster only) and one "shard.kill" per selection
+/// attempt, and charges CostModel::shard_failover_cycles per dead
+/// replica skipped. A shard with no live replica fails the query with
+/// NoLiveReplica (or is skipped with QueryResult::partial under
 /// QueryOptions::allow_partial). All health access happens in the
 /// single-threaded pre-fan-out / post-join sections, so death schedules
 /// and failovers are bit-identical at any host thread count. With

@@ -42,8 +42,7 @@ inline StatusOr<ShipMode> ShipModeFromString(std::string_view name) {
 /// on the producing node (charged to that node's clock);
 /// `wire_cycles` is link occupancy (latency per message + bandwidth),
 /// charged to the coordinator's serial ingest. Deserialization at the
-/// coordinator is priced separately (same per-unit costs, coordinator
-/// clock).
+/// coordinator is priced separately (exec::ShipPricer::Ingest).
 struct Transfer {
   uint64_t payload_bytes = 0;
   uint64_t messages = 0;
@@ -64,8 +63,6 @@ class NetworkModel {
       : params_(params),
         serialize_row_cycles_(serialize_row_cycles),
         serialize_agg_cycles_(serialize_agg_cycles) {}
-
-  const sim::NetworkParams& params() const { return params_; }
 
   /// Messages needed for `payload_bytes` of payload (>= 1).
   uint64_t MessagesFor(uint64_t payload_bytes) const {

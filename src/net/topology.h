@@ -52,7 +52,7 @@ struct ClusterConfig {
   uint32_t nodes = 1;
   /// Inter-node link model; defaults to sim::NetworkParams defaults
   /// (the same values a default-constructed SimParams carries).
-  sim::NetworkParams network;
+  sim::NetworkParams network = {};
 };
 
 /// Validated cluster shape: node count, link parameters and the

@@ -21,56 +21,34 @@ WorkloadTelemetry::WorkloadTelemetry(TelemetryConfig config)
   for (const std::string& name : config_.tracked) timeseries_.Track(name);
 }
 
-void WorkloadTelemetry::RecordStatement(const Statement& statement) {
-  workload_cycles_ += statement.cycles;
+void WorkloadTelemetry::RecordStatement(QueryLogRecord record) {
+  workload_cycles_ += record.cycles;
   ++statements_;
-  if (!statement.ok) ++errors_;
-  if (statement.degraded) ++degraded_statements_;
-  faults_injected_ += statement.faults_injected;
-  fault_fallbacks_ += statement.fault_fallbacks;
+  if (record.status != "ok") ++errors_;
+  if (record.degraded) ++degraded_statements_;
+  faults_injected_ += record.faults_injected;
+  fault_fallbacks_ += record.fault_fallbacks;
 
-  digests_.Observe("query.cycles", static_cast<double>(statement.cycles));
-  if (!statement.backend.empty()) {
-    digests_.Observe("query." + statement.backend + ".cycles",
-                     static_cast<double>(statement.cycles));
+  digests_.Observe("query.cycles", static_cast<double>(record.cycles));
+  if (!record.backend.empty()) {
+    digests_.Observe("query." + record.backend + ".cycles",
+                     static_cast<double>(record.cycles));
   }
 
-  QueryLogRecord record;
+  std::string dump_reason;
+  if (record.degraded) {
+    dump_reason = "degraded: " + record.degradation;
+  } else if (record.faults_injected > 0) {
+    dump_reason =
+        "faults: " + std::to_string(record.faults_injected) + " injected";
+  }
   record.session = config_.session;
-  record.sql = statement.sql;
-  record.table = statement.table;
-  record.backend = statement.backend;
-  record.status = statement.ok ? "ok" : "error";
-  record.error = statement.error;
-  record.status_code = statement.status_code;
-  record.cycles = statement.cycles;
   record.end_cycles = workload_cycles_;
-  record.rows_scanned = statement.rows_scanned;
-  record.rows_matched = statement.rows_matched;
-  record.shards_total = statement.shards_total;
-  record.shards_scanned = statement.shards_scanned;
-  record.shards_pruned = statement.shards_pruned;
-  record.shards_failed_over = statement.shards_failed_over;
-  record.net_bytes = statement.net_bytes;
-  record.shards_ship_rows = statement.shards_ship_rows;
-  record.shards_ship_aggs = statement.shards_ship_aggs;
-  record.degraded = statement.degraded;
-  record.degradation = statement.degradation;
-  record.faults_injected = statement.faults_injected;
-  record.fault_retries = statement.fault_retries;
-  record.fault_fallbacks = statement.fault_fallbacks;
   query_log_.Append(std::move(record));
 
-  if (statement.degraded || statement.faults_injected > 0) {
-    std::string reason;
-    if (statement.degraded) {
-      reason = "degraded: " + statement.degradation;
-    } else {
-      reason = "faults: " + std::to_string(statement.faults_injected) +
-               " injected";
-    }
+  if (!dump_reason.empty()) {
     const Status dumped =
-        flight_recorder_.TriggerDump(reason, workload_cycles_);
+        flight_recorder_.TriggerDump(dump_reason, workload_cycles_);
     if (!dumped.ok()) ++dump_failures_;
   }
 }

@@ -36,39 +36,14 @@ struct TelemetryConfig {
 /// and cycles — is bit-identical to having no telemetry at all.
 class WorkloadTelemetry {
  public:
-  /// Everything the Fabric reports about one finished statement.
-  struct Statement {
-    std::string sql;
-    std::string table;
-    std::string backend;
-    bool ok = true;
-    std::string error;
-    /// StatusCode name of the outcome ("ok", "unavailable", ...).
-    std::string status_code = "ok";
-    uint64_t cycles = 0;
-    uint64_t rows_scanned = 0;
-    uint64_t rows_matched = 0;
-    uint32_t shards_total = 0;
-    uint32_t shards_scanned = 0;
-    uint32_t shards_pruned = 0;
-    uint32_t shards_failed_over = 0;  // dead replicas skipped
-    /// Distributed fabric (zero outside a configured cluster).
-    uint64_t net_bytes = 0;
-    uint32_t shards_ship_rows = 0;
-    uint32_t shards_ship_aggs = 0;
-    bool degraded = false;
-    std::string degradation;
-    uint64_t faults_injected = 0;  // deltas over this statement
-    uint64_t fault_retries = 0;
-    uint64_t fault_fallbacks = 0;
-  };
-
   explicit WorkloadTelemetry(TelemetryConfig config = {});
 
-  /// Advances the workload clock by the statement's cycles, feeds the
-  /// per-backend digests and the query log, and — when the statement
-  /// degraded or faults fired — triggers a flight-recorder dump.
-  void RecordStatement(const Statement& statement);
+  /// Takes the Fabric's record of one finished statement (`seq`,
+  /// `session` and `end_cycles` unset), stamps the session and the
+  /// workload clock advanced by its cycles, feeds the per-backend
+  /// digests and the query log, and — when the statement degraded or
+  /// faults fired — triggers a flight-recorder dump.
+  void RecordStatement(QueryLogRecord record);
 
   /// Samples the time-series from `registry` at the current workload
   /// clock. Call after RecordStatement with the refreshed fabric

@@ -294,18 +294,19 @@ void Planner::ChooseShipModes(const shard::ShardedTable& table,
     return;
   }
 
-  const layout::Schema& schema = table.schema();
-  const uint32_t row_bytes =
-      TotalWidth(schema, spec.ReferencedColumns(schema));
-  const uint32_t key_bytes = static_cast<uint32_t>(spec.group_by.size()) * 8;
-  const size_t slots = exec::PartialSlotCount(spec);
   const bool keyed_groups =
       std::find(spec.group_by.begin(), spec.group_by.end(),
                 table.key_column()) != spec.group_by.end();
   const double sel = NonKeySelectivity(spec, table.key_column());
-  const net::NetworkModel netm(topology_->network(),
-                               cost_.net_serialize_row_cycles,
-                               cost_.net_serialize_agg_cycles);
+  // Each side costs what the scheduler will charge for it; the transfer
+  // is priced on the rounded-up estimate.
+  const exec::ShipPricer pricer(table.schema(), spec, topology_.network(),
+                                cost_);
+  const auto price = [&](net::ShipMode mode, double est) {
+    const net::Transfer t =
+        pricer.Ship(mode, static_cast<uint64_t>(est) + (est > 0 ? 1 : 0));
+    return t.serialize_cycles + t.wire_cycles + pricer.Ingest(mode, est);
+  };
 
   for (size_t i = 0; i < out->shard_ids.size(); ++i) {
     const uint32_t s = out->shard_ids[i];
@@ -324,25 +325,10 @@ void Planner::ChooseShipModes(const shard::ShardedTable& table,
     } else {
       est_groups = std::min(est_rows, 64.0);
     }
-
-    const net::Transfer rows_t = netm.ShipRows(
-        static_cast<uint64_t>(est_rows) + (est_rows > 0 ? 1 : 0), row_bytes);
-    const net::Transfer aggs_t = netm.ShipAggs(
-        static_cast<uint64_t>(est_groups) + (est_groups > 0 ? 1 : 0),
-        key_bytes, slots);
-    // Each side pays: pack on the node, wire occupancy, then per-unit
-    // unpack + merge at the coordinator (rows replay into the partial
-    // aggregates; agg values merge one CombineSlot each).
-    const double rows_cost =
-        rows_t.serialize_cycles + rows_t.wire_cycles +
-        est_rows * (cost_.net_serialize_row_cycles +
-                    static_cast<double>(slots) * cost_.agg_update_cycles);
-    const double aggs_cost =
-        aggs_t.serialize_cycles + aggs_t.wire_cycles +
-        est_groups * static_cast<double>(slots) *
-            (cost_.net_serialize_agg_cycles + cost_.agg_update_cycles);
-    out->ship[i] =
-        rows_cost < aggs_cost ? net::ShipMode::kRows : net::ShipMode::kAggs;
+    out->ship[i] = price(net::ShipMode::kRows, est_rows) <
+                           price(net::ShipMode::kAggs, est_groups)
+                       ? net::ShipMode::kRows
+                       : net::ShipMode::kAggs;
   }
 }
 
@@ -365,10 +351,10 @@ StatusOr<Plan> Planner::MakeShardedPlan(
     plan.shards.shard_ids = table.ShardsForRange(range.lo, range.hi);
   }
 
-  const bool distributed = topology_ != nullptr && topology_->enabled();
+  const bool distributed = topology_.enabled();
   if (distributed) {
     plan.shards.distributed = true;
-    plan.shards.nodes = topology_->nodes();
+    plan.shards.nodes = topology_.nodes();
     ChooseShipModes(table, parsed.spec, &plan.shards);
   }
   if (options != nullptr && options->forced_ship.has_value()) {
@@ -411,29 +397,17 @@ StatusOr<Plan> Planner::MakeShardedPlan(
   if (rm_dead) {
     plan.est_cost_rm = std::numeric_limits<double>::infinity();
   }
-  if (health_ != nullptr) {
-    const bool allow_partial =
-        options != nullptr && options->allow_partial;
+  if (health_ != nullptr && (options == nullptr || !options->allow_partial)) {
     for (uint32_t s : plan.shards.shard_ids) {
       bool any_live = false;
       for (uint32_t j = 0; j < table.num_replicas() && !any_live; ++j) {
-        bool live = health_->alive(shard::ReplicaName(parsed.table, s, j));
-        if (live && distributed) {
-          // A replica on a dead node is as dead as the replica itself.
-          const uint32_t node = topology_->NodeFor(
-              s, j, table.num_shards(), table.placement());
-          live = health_->alive(net::Topology::NodeName(node));
-        }
-        any_live = live;
+        any_live =
+            exec::ReplicaLive(*health_, topology_, table, parsed.table, s, j);
       }
-      if (!any_live && !allow_partial) {
-        return Status::Unavailable(
-            "shard " + std::to_string(s) + " of '" + parsed.table +
-            "' has no live replica (" +
-            std::to_string(table.num_replicas()) +
-            " replica(s) dead" +
-            (distributed ? " or on dead nodes" : "") +
-            "); set allow_partial to answer from the survivors");
+      if (!any_live) {
+        return exec::NoLiveReplica(parsed.table, s, table.num_replicas(),
+                                   distributed)
+            .status;
       }
     }
   }

@@ -100,10 +100,9 @@ class Planner {
   /// Makes sharded planning cluster-aware: with an enabled topology the
   /// planner prices, per surviving shard, shipping materialized rows vs
   /// shipping partial aggregates across the modeled network and records
-  /// the cheaper mode in ShardFanout::ship. Null or a disabled topology
-  /// returns to single-host planning. The pointer is borrowed; the
-  /// caller (core::Fabric) keeps it alive.
-  void set_topology(const net::Topology* topology) { topology_ = topology; }
+  /// the cheaper mode in ShardFanout::ship. A disabled topology returns
+  /// to single-host planning.
+  void set_topology(const net::Topology& topology) { topology_ = topology; }
 
  private:
   double EstimateRow(const layout::Schema& schema, double n,
@@ -135,7 +134,7 @@ class Planner {
   sim::SimParams sim_;
   engine::CostModel cost_;
   const faults::HealthRegistry* health_;
-  const net::Topology* topology_ = nullptr;
+  net::Topology topology_;
 };
 
 }  // namespace relfab::query

@@ -1,7 +1,7 @@
 // Tests for the distributed fabric (src/net + the node-aware shard
 // scheduler path): NetworkModel cost arithmetic, ClusterConfig
-// validation, shard/replica -> node placement math, the planner's
-// ship-rows vs ship-aggs crossover, answer equivalence between
+// validation, shard/replica -> node placement math, the shared
+// ShipPricer, the planner's ship-rows vs ship-aggs crossover, answer equivalence between
 // distributed and single-host execution, the determinism contract
 // (answers AND cycles bit-identical at any host thread count, in both
 // simulator modes, with a cluster configured), node-kill failover, and
@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/fabric.h"
+#include "exec/shard_scheduler.h"
 #include "faults/fault_plan.h"
 #include "net/network_model.h"
 #include "net/topology.h"
@@ -142,6 +143,45 @@ TEST(NetworkModelTest, ShipAggsPricesGroupsKeysAndSlots) {
   EXPECT_EQ(t.messages, 1u);
   EXPECT_DOUBLE_EQ(t.serialize_cycles, 3 * 2 * 6.0);
   EXPECT_DOUBLE_EQ(t.wire_cycles, m.WireCycles(72, 1));
+}
+
+// ---------------------------------------------------------------------
+// ShipPricer: the one price of a shard's partial, shared by the
+// planner's ship-mode choice and the scheduler's charge.
+// ---------------------------------------------------------------------
+
+TEST(ShipPricerTest, PricesTransferAndCoordinatorIngestPerShipMode) {
+  auto fabric = MakeFabric(/*nodes=*/0);
+  auto plan = fabric->ExplainSql("SELECT g, SUM(v), AVG(v) FROM m GROUP BY g");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  engine::CostModel cost;
+  cost.net_serialize_row_cycles = 4.0;
+  cost.net_serialize_agg_cycles = 6.0;
+  cost.agg_update_cycles = 1.5;
+  // Referenced columns v + g = 8 B per shipped row; one 8 B group key;
+  // SUM + AVG-as-SUM + the hidden COUNT = 3 partial slots.
+  const exec::ShipPricer pricer((*fabric->GetShardedTable("m"))->schema(),
+                                plan->spec, TestLink(), cost);
+  const net::NetworkModel m(TestLink(), 4.0, 6.0);
+
+  const net::Transfer rows = pricer.Ship(net::ShipMode::kRows, 10);
+  EXPECT_EQ(rows.payload_bytes, 80u);
+  EXPECT_DOUBLE_EQ(rows.serialize_cycles, 10 * 4.0);
+  EXPECT_DOUBLE_EQ(rows.wire_cycles, m.WireCycles(80, 1));
+  const net::Transfer aggs = pricer.Ship(net::ShipMode::kAggs, 3);
+  EXPECT_EQ(aggs.payload_bytes, 3u * (8 + 3 * 8));
+  EXPECT_DOUBLE_EQ(aggs.serialize_cycles, 3 * 3 * 6.0);
+  EXPECT_DOUBLE_EQ(aggs.wire_cycles, m.WireCycles(96, 1));
+
+  // ship=rows: every row is deserialized, then replayed into 3 slots.
+  EXPECT_DOUBLE_EQ(pricer.Ingest(net::ShipMode::kRows, 10),
+                   10 * (4.0 + 3 * 1.5));
+  // ship=aggs: every shipped value is deserialized and merged once.
+  EXPECT_DOUBLE_EQ(pricer.Ingest(net::ShipMode::kAggs, 3),
+                   3 * 3 * (6.0 + 1.5));
+  // The planner prices fractional estimates.
+  EXPECT_DOUBLE_EQ(pricer.Ingest(net::ShipMode::kRows, 2.5), 21.25);
+  EXPECT_DOUBLE_EQ(pricer.Ingest(net::ShipMode::kAggs, 0.5), 11.25);
 }
 
 // ---------------------------------------------------------------------
@@ -444,6 +484,34 @@ TEST(NetExecTest, AllNodesDeadIsUnavailableUnlessPartialAllowed) {
                                     {.allow_partial = true});
   ASSERT_TRUE(partial.ok()) << partial.status().ToString();
   EXPECT_TRUE(partial->result.partial);
+}
+
+TEST(NetExecTest, PlanTimeAndSelectionTimeUnavailableReadTheSame) {
+  // Shard 0's replicas sit on node0 and node1. Whether the planner sees
+  // them dead or replica selection kills them, the statement fails with
+  // one kUnavailable text.
+  const std::string sql = "SELECT COUNT(*) FROM m WHERE k < 1000";
+  const struct {
+    std::vector<std::string> dead;
+    std::string kill;
+  } cases[] = {{{"m.shard0.r0", "m.shard0.r1"}, "shard.kill:p=1"},
+               {{"node0", "node1"}, "node.kill:p=1;seed=1"}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.kill);
+    auto planned = MakeFabric(/*nodes=*/3, /*replicas=*/2);
+    for (const std::string& name : c.dead) {
+      planned->health().MarkDead(name, "test kill", 0);
+    }
+    auto at_plan = planned->ExecuteSql(sql);
+    ASSERT_EQ(at_plan.status().code(), StatusCode::kUnavailable);
+
+    auto drawn = MakeFabric(/*nodes=*/3, /*replicas=*/2);
+    drawn->ArmFaults(*faults::FaultPlan::Parse(c.kill));
+    auto at_selection = drawn->ExecuteSql(sql);
+    ASSERT_EQ(at_selection.status().code(), StatusCode::kUnavailable);
+    EXPECT_EQ(drawn->health().deaths().size(), 2u);
+    EXPECT_EQ(at_selection.status().ToString(), at_plan.status().ToString());
+  }
 }
 
 TEST(NetExecTest, ProfileAndCountersCarryTheNetworkStory) {

@@ -506,6 +506,25 @@ TEST(ShardFailoverTest, KillAtPOneKillsEveryReplicaAttempted) {
   EXPECT_EQ(fabric->health().deaths().size(), 2u);
 }
 
+TEST(ShardFailoverTest, PlanTimeAndSelectionTimeUnavailableReadTheSame) {
+  // The planner refuses a shard it already knows is dead; replica
+  // selection refuses one its kill draws just killed. Both spell the
+  // failure the same way.
+  const std::string sql = "SELECT COUNT(*) FROM m WHERE k < 1000";
+  auto planned = MakeFabric(/*replicas=*/2);
+  planned->health().MarkDead("m.shard0.r0", "test kill", 0);
+  planned->health().MarkDead("m.shard0.r1", "test kill", 0);
+  auto at_plan = planned->ExecuteSql(sql);
+  ASSERT_EQ(at_plan.status().code(), StatusCode::kUnavailable);
+
+  auto drawn = MakeFabric(/*replicas=*/2);
+  drawn->ArmFaults(*faults::FaultPlan::Parse("shard.kill:p=1"));
+  auto at_selection = drawn->ExecuteSql(sql);
+  ASSERT_EQ(at_selection.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(drawn->health().deaths().size(), 2u);
+  EXPECT_EQ(at_selection.status().ToString(), at_plan.status().ToString());
+}
+
 TEST(ShardFailoverTest, DeadRmDegradesShardedPlanToRow) {
   auto fabric = MakeFabric(/*replicas=*/1);
   const std::string sql = "SELECT COUNT(*), SUM(v) FROM m WHERE v < 60";

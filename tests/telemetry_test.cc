@@ -248,6 +248,26 @@ TEST(TelemetryTest, QueryLogRecordsEveryStatementWithValidSchema) {
   EXPECT_EQ(prev_end, fabric->telemetry()->workload_cycles());
 }
 
+TEST(TelemetryTest, QueryLogCountsShardsScannedNotPlanned) {
+  // A partial answer plans all four shards but scans only the three
+  // with a live replica; the log agrees with the profile.
+  auto fabric = MakeFabric();
+  fabric->EnableTelemetry();
+  fabric->health().MarkDead("readings.shard1.r0", "test kill", 0);
+  auto r = fabric->ExecuteSql("SELECT COUNT(*) FROM readings",
+                              {.analyze = true, .allow_partial = true});
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_TRUE(r->result.partial);
+  EXPECT_EQ(r->profile.shards_scanned, 3u);
+  EXPECT_EQ(r->profile.shards_unavailable, 1u);
+
+  auto recent = fabric->telemetry()->query_log().Recent();
+  ASSERT_EQ(recent.size(), 1u);
+  EXPECT_EQ(recent[0]->shards_total, 4u);
+  EXPECT_EQ(recent[0]->shards_scanned, 3u);
+  EXPECT_EQ(recent[0]->shards_pruned, 0u);
+}
+
 TEST(TelemetryTest, FailedStatementsAreLoggedAsErrors) {
   auto fabric = MakeFabric();
   fabric->EnableTelemetry();
