@@ -144,27 +144,6 @@ bool QueryResult::SameAnswer(const QueryResult& other, double rel_tol) const {
   return CloseEnough(projection_checksum, other.projection_checksum, rel_tol);
 }
 
-void FinalizeAggregates(
-    const QuerySpec& query, const std::vector<AggState>& flat,
-    const std::map<GroupKey, std::vector<AggState>>& groups,
-    QueryResult* result) {
-  if (query.aggregates.empty()) return;
-  if (!query.group_by.empty()) {
-    for (const auto& [key, states] : groups) {
-      std::vector<double> finals(states.size());
-      for (size_t a = 0; a < states.size(); ++a) {
-        finals[a] = states[a].Final(query.aggregates[a].func);
-      }
-      result->groups.emplace_back(key, std::move(finals));
-    }
-    return;
-  }
-  result->aggregates.resize(flat.size());
-  for (size_t a = 0; a < flat.size(); ++a) {
-    result->aggregates[a] = flat[a].Final(query.aggregates[a].func);
-  }
-}
-
 std::string QueryResult::ToString() const {
   std::ostringstream os;
   os << "scanned=" << rows_scanned << " matched=" << rows_matched;

@@ -1,9 +1,9 @@
 #ifndef RELFAB_ENGINE_QUERY_H_
 #define RELFAB_ENGINE_QUERY_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -133,12 +133,93 @@ struct AggState {
   }
 };
 
-/// Converts accumulated aggregate states into the result's final values
-/// (shared by all three engines so they finalize identically).
-void FinalizeAggregates(const QuerySpec& query,
-                        const std::vector<AggState>& flat,
-                        const std::map<GroupKey, std::vector<AggState>>& groups,
-                        QueryResult* result);
+/// Hash of a group key: a pure function of `size` and the packed values
+/// (no std::hash, no addresses), so a table's probe sequences and growth
+/// repeat on every run and host.
+struct GroupKeyHash {
+  uint64_t operator()(const GroupKey& key) const {
+    uint64_t h = key.size;
+    for (uint32_t i = 0; i < key.size; ++i) {
+      // splitmix64 finalizer over the running hash and the next value.
+      h ^= static_cast<uint64_t>(key.values[i]) + 0x9e3779b97f4a7c15ull;
+      h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
+      h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
+      h ^= h >> 31;
+    }
+    return h;
+  }
+};
+
+/// Flat group-by table from GroupKey to `width` states per group: open
+/// addressing with linear probing over a power-of-two slot array that
+/// grows at load 1/2, with the keys and states of the groups stored
+/// contiguously in insertion order. Finding an existing group allocates
+/// nothing. Output order comes from KeyOrder(), which depends only on the
+/// keys, so results are deterministic whatever the hash or the insertion
+/// order.
+template <typename State, typename Hash = GroupKeyHash>
+class GroupTable {
+ public:
+  explicit GroupTable(size_t width) : width_(width) {}
+
+  /// Returns the states of `key`'s group, appending a group of
+  /// value-initialized states if the key is new (`*inserted` says which).
+  /// The pointer is valid until the next insertion.
+  State* FindOrInsert(const GroupKey& key, bool* inserted = nullptr) {
+    if (2 * (keys_.size() + 1) > slots_.size()) Grow();
+    const size_t mask = slots_.size() - 1;
+    for (size_t s = Hash()(key) & mask;; s = (s + 1) & mask) {
+      const uint32_t g = slots_[s];
+      if (g == kEmpty) {
+        slots_[s] = static_cast<uint32_t>(keys_.size());
+        keys_.push_back(key);
+        states_.resize(states_.size() + width_);
+        if (inserted != nullptr) *inserted = true;
+        return states_.data() + states_.size() - width_;
+      }
+      if (keys_[g] == key) {
+        if (inserted != nullptr) *inserted = false;
+        return states_.data() + g * width_;
+      }
+    }
+  }
+
+  size_t size() const { return keys_.size(); }
+  const GroupKey& key(size_t group) const { return keys_[group]; }
+  const State* states(size_t group) const {
+    return states_.data() + group * width_;
+  }
+
+  /// Group indices in ascending key order (GroupKey::operator<).
+  std::vector<uint32_t> KeyOrder() const {
+    std::vector<uint32_t> order(keys_.size());
+    for (size_t g = 0; g < order.size(); ++g) {
+      order[g] = static_cast<uint32_t>(g);
+    }
+    std::sort(order.begin(), order.end(), [this](uint32_t a, uint32_t b) {
+      return keys_[a] < keys_[b];
+    });
+    return order;
+  }
+
+ private:
+  static constexpr uint32_t kEmpty = ~0u;
+
+  void Grow() {
+    slots_.assign(slots_.empty() ? 16 : 2 * slots_.size(), kEmpty);
+    const size_t mask = slots_.size() - 1;
+    for (size_t g = 0; g < keys_.size(); ++g) {
+      size_t s = Hash()(keys_[g]) & mask;
+      while (slots_[s] != kEmpty) s = (s + 1) & mask;
+      slots_[s] = static_cast<uint32_t>(g);
+    }
+  }
+
+  size_t width_;
+  std::vector<uint32_t> slots_;  // group index per slot, kEmpty if free
+  std::vector<GroupKey> keys_;   // per group, insertion order
+  std::vector<State> states_;    // width_ per group, insertion order
+};
 
 }  // namespace relfab::engine
 

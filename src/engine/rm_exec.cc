@@ -1,8 +1,8 @@
 #include "engine/rm_exec.h"
 
 #include <algorithm>
-#include <map>
 
+#include "engine/sink.h"
 #include "engine/volcano.h"  // PackCharKey
 #include "relmem/ephemeral.h"
 
@@ -111,9 +111,7 @@ StatusOr<QueryResult> RmExecEngine::Execute(const QuerySpec& query) {
   QueryResult result;
   result.rows_scanned = table_->num_rows();
 
-  const bool grouped = !query.group_by.empty();
-  std::vector<AggState> flat_aggs(query.aggregates.size());
-  std::map<GroupKey, std::vector<AggState>> groups;
+  QuerySink sink(query, table_->schema(), memory, cost_);
 
   relmem::EphemeralView::Cursor cur(&view);
   const auto numeric = [&](uint32_t col) {
@@ -159,42 +157,7 @@ StatusOr<QueryResult> RmExecEngine::Execute(const QuerySpec& query) {
       ++prof_->op(op_sink).rows_in;
     }
     ++result.rows_matched;
-    if (query.aggregates.empty()) {
-      for (uint32_t col : query.projection) {
-        double v;
-        if (schema.type(col) == layout::ColumnType::kChar) {
-          v = static_cast<double>(key_of(col) & 0xffff);
-        } else {
-          v = numeric(col);
-        }
-        result.projection_checksum += v;
-        memory->CpuWork(cost_.arith_cycles);
-      }
-      continue;
-    }
-    std::vector<AggState>* states = &flat_aggs;
-    if (grouped) {
-      GroupKey key;
-      key.size = static_cast<uint32_t>(query.group_by.size());
-      for (uint32_t i = 0; i < key.size; ++i) {
-        key.values[i] = key_of(query.group_by[i]);
-      }
-      memory->CpuWork(cost_.group_hash_cycles);
-      states = &groups
-                    .try_emplace(key, std::vector<AggState>(
-                                          query.aggregates.size()))
-                    .first->second;
-    }
-    for (size_t a = 0; a < query.aggregates.size(); ++a) {
-      const AggSpec& spec = query.aggregates[a];
-      double v = 0;
-      if (spec.expr >= 0) {
-        v = query.exprs.Eval(spec.expr, numeric);
-        memory->CpuWork(cost_.arith_cycles * query.exprs.OpCount(spec.expr));
-      }
-      (*states)[a].Update(v);
-      memory->CpuWork(cost_.agg_update_cycles);
-    }
+    sink.Add(key_of, numeric);
   }
 
   if (!view.status().ok()) {
@@ -207,11 +170,9 @@ StatusOr<QueryResult> RmExecEngine::Execute(const QuerySpec& query) {
   }
   if (prof_ != nullptr) {
     prof_->Finish();
-    uint64_t out = result.rows_matched;
-    if (!query.aggregates.empty()) out = grouped ? groups.size() : 1;
-    prof_->op(op_sink).rows_out = out;
+    prof_->op(op_sink).rows_out = sink.RowsOut(result.rows_matched);
   }
-  FinalizeAggregates(query, flat_aggs, groups, &result);
+  sink.Finalize(&result);
   result.sim_cycles = memory->ElapsedCycles();
   return result;
 }

@@ -1,9 +1,9 @@
 #include "engine/vector_engine.h"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 
+#include "engine/sink.h"
 #include "engine/volcano.h"  // PackCharKey
 #include "sim/memory_system.h"
 
@@ -153,11 +153,12 @@ StatusOr<QueryResult> VectorEngine::ExecuteFused(const QuerySpec& query) {
         prof_->AddOp(query.aggregates.empty() ? "Project" : "Aggregate");
   }
 
-  const bool grouped = !query.group_by.empty();
   const uint32_t out_fields = OutputFieldCount(query);
-  std::vector<AggState> flat_aggs(query.aggregates.size());
-  std::map<GroupKey, std::vector<AggState>> groups;
+  QuerySink sink(query, table_->schema(), memory, cost_);
   uint64_t current_row = 0;
+  const auto key_fn = [&](uint32_t col) {
+    return readers.at(col).GetKey(current_row);
+  };
   const auto col_fn = [&](uint32_t col) {
     return readers.at(col).GetNumeric(current_row);
   };
@@ -189,53 +190,15 @@ StatusOr<QueryResult> VectorEngine::ExecuteFused(const QuerySpec& query) {
       if (out_fields > 1) {
         memory->CpuWork(cost_.reconstruct_field_cycles * out_fields);
       }
-      if (query.aggregates.empty()) {
-        for (uint32_t col : query.projection) {
-          double v;
-          if (table_->schema().type(col) == layout::ColumnType::kChar) {
-            v = static_cast<double>(readers.at(col).GetKey(row) & 0xffff);
-          } else {
-            v = readers.at(col).GetNumeric(row);
-          }
-          result.projection_checksum += v;
-          memory->CpuWork(cost_.arith_cycles);
-        }
-        continue;
-      }
-      std::vector<AggState>* states = &flat_aggs;
-      if (grouped) {
-        GroupKey key;
-        key.size = static_cast<uint32_t>(query.group_by.size());
-        for (uint32_t i = 0; i < key.size; ++i) {
-          key.values[i] = readers.at(query.group_by[i]).GetKey(row);
-        }
-        memory->CpuWork(cost_.group_hash_cycles);
-        states = &groups
-                      .try_emplace(key, std::vector<AggState>(
-                                            query.aggregates.size()))
-                      .first->second;
-      }
-      for (size_t a = 0; a < query.aggregates.size(); ++a) {
-        const AggSpec& spec = query.aggregates[a];
-        double v = 0;
-        if (spec.expr >= 0) {
-          v = query.exprs.Eval(spec.expr, col_fn);
-          memory->CpuWork(cost_.arith_cycles *
-                          query.exprs.OpCount(spec.expr));
-        }
-        (*states)[a].Update(v);
-        memory->CpuWork(cost_.agg_update_cycles);
-      }
+      sink.Add(key_fn, col_fn);
     }
   }
 
   if (prof_ != nullptr) {
     prof_->Finish();
-    uint64_t out = result.rows_matched;
-    if (!query.aggregates.empty()) out = grouped ? groups.size() : 1;
-    prof_->op(op_sink).rows_out = out;
+    prof_->op(op_sink).rows_out = sink.RowsOut(result.rows_matched);
   }
-  FinalizeAggregates(query, flat_aggs, groups, &result);
+  sink.Finalize(&result);
   result.sim_cycles = memory->ElapsedCycles();
   return result;
 }
@@ -295,11 +258,12 @@ StatusOr<QueryResult> VectorEngine::ExecuteColumnAtATime(
 
   // Aggregation/projection pass over qualifying positions; the output
   // columns advance in lockstep here, like the fused engine.
-  const bool grouped = !query.group_by.empty();
   const uint32_t out_fields = OutputFieldCount(query);
-  std::vector<AggState> flat_aggs(query.aggregates.size());
-  std::map<GroupKey, std::vector<AggState>> groups;
+  QuerySink sink(query, table_->schema(), memory, cost_);
   uint64_t current_row = 0;
+  const auto key_fn = [&](uint32_t col) {
+    return readers.at(col).GetKey(current_row);
+  };
   const auto col_fn = [&](uint32_t col) {
     return readers.at(col).GetNumeric(current_row);
   };
@@ -318,51 +282,14 @@ StatusOr<QueryResult> VectorEngine::ExecuteColumnAtATime(
     if (out_fields > 1) {
       memory->CpuWork(cost_.reconstruct_field_cycles * out_fields);
     }
-    if (query.aggregates.empty()) {
-      for (uint32_t col : query.projection) {
-        double v;
-        if (table_->schema().type(col) == layout::ColumnType::kChar) {
-          v = static_cast<double>(readers.at(col).GetKey(row) & 0xffff);
-        } else {
-          v = readers.at(col).GetNumeric(row);
-        }
-        result.projection_checksum += v;
-        memory->CpuWork(cost_.arith_cycles);
-      }
-      continue;
-    }
-    std::vector<AggState>* states = &flat_aggs;
-    if (grouped) {
-      GroupKey key;
-      key.size = static_cast<uint32_t>(query.group_by.size());
-      for (uint32_t i = 0; i < key.size; ++i) {
-        key.values[i] = readers.at(query.group_by[i]).GetKey(row);
-      }
-      memory->CpuWork(cost_.group_hash_cycles);
-      states = &groups
-                    .try_emplace(key, std::vector<AggState>(
-                                          query.aggregates.size()))
-                    .first->second;
-    }
-    for (size_t a = 0; a < query.aggregates.size(); ++a) {
-      const AggSpec& spec = query.aggregates[a];
-      double v = 0;
-      if (spec.expr >= 0) {
-        v = query.exprs.Eval(spec.expr, col_fn);
-        memory->CpuWork(cost_.arith_cycles * query.exprs.OpCount(spec.expr));
-      }
-      (*states)[a].Update(v);
-      memory->CpuWork(cost_.agg_update_cycles);
-    }
+    sink.Add(key_fn, col_fn);
   }
 
   if (prof_ != nullptr) {
     prof_->Finish();
-    uint64_t out = result.rows_matched;
-    if (!query.aggregates.empty()) out = grouped ? groups.size() : 1;
-    prof_->op(op_sink).rows_out = out;
+    prof_->op(op_sink).rows_out = sink.RowsOut(result.rows_matched);
   }
-  FinalizeAggregates(query, flat_aggs, groups, &result);
+  sink.Finalize(&result);
   result.sim_cycles = memory->ElapsedCycles();
   return result;
 }

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
 
+#include "engine/sink.h"
 #include "sim/memory_system.h"
 
 namespace relfab::engine {
@@ -13,6 +13,12 @@ int64_t PackCharKey(std::string_view bytes) {
   int64_t key = 0;
   std::memcpy(&key, bytes.data(), bytes.size());
   return key;
+}
+
+uint64_t ScanChunkRows(uint64_t row_bytes, uint64_t l1_sets,
+                       uint64_t line_bytes) {
+  if (row_bytes == 0 || l1_sets < 2) return 1;
+  return std::max<uint64_t>(1, (l1_sets - 1) * line_bytes / row_bytes);
 }
 
 namespace {
@@ -116,16 +122,11 @@ class ScanOperator : public TupleSource {
     // one maximal demand Read over the chunk's line span (which the fast
     // path collapses to a closed-form covered run) plus a counted charge
     // for the row-boundary lines the per-row replay would re-hit. The
-    // chunk is capped at one L1 set's worth of lines so every chunk line
-    // is still the MRU of its cache set when the consumer reads the
-    // row's fields (the ReadL1Resident/ChargeMruHits precondition).
-    const uint64_t row_bytes = table->row_bytes();
-    const uint64_t span_lines = memory->params().l1_sets();
-    chunk_rows_ = row_bytes == 0
-                      ? 1
-                      : (span_lines * memory->params().cache_line_bytes) /
-                            row_bytes;
-    if (chunk_rows_ == 0) chunk_rows_ = 1;
+    // chunk is capped (ScanChunkRows) so every chunk line is still the
+    // MRU of its cache set when the consumer reads the row's fields (the
+    // ReadL1Resident/ChargeMruHits precondition).
+    chunk_rows_ = ScanChunkRows(table->row_bytes(), memory->params().l1_sets(),
+                                memory->params().cache_line_bytes);
   }
 
   bool Next(uint64_t* row) override {
@@ -269,17 +270,6 @@ class FilterOperator : public TupleSource {
   int op_;
 };
 
-/// Sink rows_out: a projection emits every matched row; an ungrouped
-/// aggregate emits one row; a grouped aggregate one row per group.
-void OpStatsRowsOut(obs::OpProfiler* prof, int op, const QuerySpec& query,
-                    uint64_t rows_matched, size_t num_groups) {
-  uint64_t out = rows_matched;
-  if (!query.aggregates.empty()) {
-    out = query.group_by.empty() ? 1 : num_groups;
-  }
-  prof->op(op).rows_out = out;
-}
-
 }  // namespace
 
 StatusOr<QueryResult> VolcanoEngine::Execute(const QuerySpec& query) {
@@ -307,10 +297,11 @@ StatusOr<QueryResult> VolcanoEngine::Execute(const QuerySpec& query) {
   QueryResult result;
   result.rows_scanned = table_->num_rows();
 
-  const bool grouped = !query.group_by.empty();
-  std::vector<AggState> flat_aggs(query.aggregates.size());
-  std::map<GroupKey, std::vector<AggState>> groups;
+  QuerySink sink(query, table_->schema(), memory, cost_);
   uint64_t current_row = 0;
+  const auto key_fn = [&](uint32_t col) {
+    return reader.GetKey(current_row, col);
+  };
   const auto col_fn = [&](uint32_t col) {
     return reader.GetNumeric(current_row, col);
   };
@@ -323,52 +314,14 @@ StatusOr<QueryResult> VolcanoEngine::Execute(const QuerySpec& query) {
     }
     ++result.rows_matched;
     current_row = row;
-    if (query.aggregates.empty()) {
-      // Pure projection: fold projected values into the checksum.
-      for (uint32_t col : query.projection) {
-        double v;
-        if (table_->schema().type(col) == layout::ColumnType::kChar) {
-          v = static_cast<double>(reader.GetKey(row, col) & 0xffff);
-        } else {
-          v = reader.GetNumeric(row, col);
-        }
-        result.projection_checksum += v;
-        memory->CpuWork(cost_.arith_cycles);
-      }
-      continue;
-    }
-    std::vector<AggState>* states = &flat_aggs;
-    if (grouped) {
-      GroupKey key;
-      key.size = static_cast<uint32_t>(query.group_by.size());
-      for (uint32_t i = 0; i < key.size; ++i) {
-        key.values[i] = reader.GetKey(row, query.group_by[i]);
-      }
-      memory->CpuWork(cost_.group_hash_cycles);
-      auto it = groups
-                    .try_emplace(key,
-                                 std::vector<AggState>(query.aggregates.size()))
-                    .first;
-      states = &it->second;
-    }
-    for (size_t a = 0; a < query.aggregates.size(); ++a) {
-      const AggSpec& spec = query.aggregates[a];
-      double v = 0;
-      if (spec.expr >= 0) {
-        v = query.exprs.Eval(spec.expr, col_fn);
-        memory->CpuWork(cost_.arith_cycles * query.exprs.OpCount(spec.expr));
-      }
-      (*states)[a].Update(v);
-      memory->CpuWork(cost_.agg_update_cycles);
-    }
+    sink.Add(key_fn, col_fn);
   }
 
   if (prof_ != nullptr) {
     prof_->Finish();
-    OpStatsRowsOut(prof_, op_sink, query, result.rows_matched,
-                   grouped ? groups.size() : 0);
+    prof_->op(op_sink).rows_out = sink.RowsOut(result.rows_matched);
   }
-  FinalizeAggregates(query, flat_aggs, groups, &result);
+  sink.Finalize(&result);
   reader.FlushCharges();
   result.sim_cycles = memory->ElapsedCycles();
   return result;
@@ -394,10 +347,11 @@ StatusOr<QueryResult> VolcanoEngine::ExecuteOnRowIds(
   QueryResult result;
   result.rows_scanned = rows.size();
 
-  const bool grouped = !query.group_by.empty();
-  std::vector<AggState> flat_aggs(query.aggregates.size());
-  std::map<GroupKey, std::vector<AggState>> groups;
+  QuerySink sink(query, table_->schema(), memory, cost_);
   uint64_t current_row = 0;
+  const auto key_fn = [&](uint32_t col) {
+    return reader.GetKey(current_row, col);
+  };
   const auto col_fn = [&](uint32_t col) {
     return reader.GetNumeric(current_row, col);
   };
@@ -446,50 +400,14 @@ StatusOr<QueryResult> VolcanoEngine::ExecuteOnRowIds(
     }
     ++result.rows_matched;
     current_row = row;
-    if (query.aggregates.empty()) {
-      for (uint32_t col : query.projection) {
-        double v;
-        if (table_->schema().type(col) == layout::ColumnType::kChar) {
-          v = static_cast<double>(reader.GetKey(row, col) & 0xffff);
-        } else {
-          v = reader.GetNumeric(row, col);
-        }
-        result.projection_checksum += v;
-        memory->CpuWork(cost_.arith_cycles);
-      }
-      continue;
-    }
-    std::vector<AggState>* states = &flat_aggs;
-    if (grouped) {
-      GroupKey key;
-      key.size = static_cast<uint32_t>(query.group_by.size());
-      for (uint32_t i = 0; i < key.size; ++i) {
-        key.values[i] = reader.GetKey(row, query.group_by[i]);
-      }
-      memory->CpuWork(cost_.group_hash_cycles);
-      states = &groups
-                    .try_emplace(key, std::vector<AggState>(
-                                          query.aggregates.size()))
-                    .first->second;
-    }
-    for (size_t a = 0; a < query.aggregates.size(); ++a) {
-      const AggSpec& spec = query.aggregates[a];
-      double v = 0;
-      if (spec.expr >= 0) {
-        v = query.exprs.Eval(spec.expr, col_fn);
-        memory->CpuWork(cost_.arith_cycles * query.exprs.OpCount(spec.expr));
-      }
-      (*states)[a].Update(v);
-      memory->CpuWork(cost_.agg_update_cycles);
-    }
+    sink.Add(key_fn, col_fn);
   }
 
   if (prof_ != nullptr) {
     prof_->Finish();
-    OpStatsRowsOut(prof_, op_sink, query, result.rows_matched,
-                   grouped ? groups.size() : 0);
+    prof_->op(op_sink).rows_out = sink.RowsOut(result.rows_matched);
   }
-  FinalizeAggregates(query, flat_aggs, groups, &result);
+  sink.Finalize(&result);
   result.sim_cycles = memory->ElapsedCycles();
   return result;
 }

@@ -48,6 +48,15 @@ class VolcanoEngine {
   obs::OpProfiler* prof_ = nullptr;
 };
 
+/// Rows per ScanOperator materialization chunk of `row_bytes`-wide rows:
+/// the most rows whose bytes fit in `l1_sets - 1` lines. A chunk can
+/// start on the previous chunk's last line, so from any start offset it
+/// then spans at most `l1_sets` distinct lines, none aliasing another in
+/// L1, and every chunk line is still the MRU of its set when the consumer
+/// reads it. At least one row.
+uint64_t ScanChunkRows(uint64_t row_bytes, uint64_t l1_sets,
+                       uint64_t line_bytes);
+
 /// Packs a char field (<= 8 bytes) into an int64 group-key component.
 int64_t PackCharKey(std::string_view bytes);
 

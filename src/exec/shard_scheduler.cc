@@ -129,8 +129,7 @@ void CombineSlot(engine::AggFunc func, bool first, double v, double* acc) {
 
 /// Maps merged partial slots back to the original aggregate list.
 std::vector<double> FinalizeSlots(const engine::QuerySpec& original,
-                                  const PartialPlan& pp,
-                                  const std::vector<double>& slots) {
+                                  const PartialPlan& pp, const double* slots) {
   std::vector<double> out;
   out.reserve(original.aggregates.size());
   for (size_t i = 0; i < original.aggregates.size(); ++i) {
@@ -632,7 +631,7 @@ StatusOr<engine::QueryResult> ShardScheduler::Execute(const Request& req,
   engine::QueryResult merged;
   std::vector<double> flat(slots, 0);
   std::vector<bool> flat_any(slots, false);
-  std::map<engine::GroupKey, std::vector<double>> groups;
+  engine::GroupTable<double> groups(slots);
   double coordinator_cycles = 0;
 
   for (const size_t i : serving) {
@@ -649,10 +648,13 @@ StatusOr<engine::QueryResult> ShardScheduler::Execute(const Request& req,
       }
     }
     for (const auto& [key, vals] : r.groups) {
-      auto [it, inserted] = groups.emplace(key, vals);
-      if (!inserted) {
-        for (size_t j = 0; j < slots; ++j) {
-          CombineSlot(pp.slot_func[j], false, vals[j], &it->second[j]);
+      bool inserted = false;
+      double* acc = groups.FindOrInsert(key, &inserted);
+      for (size_t j = 0; j < slots; ++j) {
+        if (inserted) {
+          acc[j] = vals[j];
+        } else {
+          CombineSlot(pp.slot_func[j], false, vals[j], &acc[j]);
         }
       }
     }
@@ -666,11 +668,12 @@ StatusOr<engine::QueryResult> ShardScheduler::Execute(const Request& req,
   }
 
   if (!req.spec->aggregates.empty() && req.spec->group_by.empty()) {
-    merged.aggregates = FinalizeSlots(*req.spec, pp, flat);
+    merged.aggregates = FinalizeSlots(*req.spec, pp, flat.data());
   }
   merged.groups.reserve(groups.size());
-  for (const auto& [key, vals] : groups) {
-    merged.groups.emplace_back(key, FinalizeSlots(*req.spec, pp, vals));
+  for (const uint32_t g : groups.KeyOrder()) {
+    merged.groups.emplace_back(groups.key(g),
+                               FinalizeSlots(*req.spec, pp, groups.states(g)));
   }
   merged.partial = serving.size() < ids.size();
   merged.sim_cycles =

@@ -299,6 +299,32 @@ TEST(QueryResultTest, SameAnswerChecksCardinalities) {
   EXPECT_FALSE(a.SameAnswer(b));
 }
 
+// ------------------------------------------------- scan chunk sizing
+
+/// ScanOperator charges a chunk's rows with one Read and then relies on
+/// every chunk line still being the MRU of its L1 set. A chunk can begin
+/// on the previous chunk's last line, so from any start offset its span
+/// must stay within l1_sets distinct lines: one more, and its first and
+/// last lines alias in L1.
+TEST(ScanChunkRowsTest, ChunkSpansAtMostL1SetsLinesFromAnyOffset) {
+  constexpr uint64_t kLine = 64;
+  for (const uint64_t sets : {2ull, 64ull, 128ull, 256ull}) {
+    for (uint64_t width = 1; width <= 4096; ++width) {
+      const uint64_t rows = ScanChunkRows(width, sets, kLine);
+      ASSERT_GE(rows, 1u);
+      if (width > (sets - 1) * kLine) continue;  // one row overflows anyway
+      for (uint64_t offset = 0; offset < kLine; ++offset) {
+        const uint64_t lines = (offset + rows * width - 1) / kLine + 1;
+        ASSERT_LE(lines, sets) << "width " << width << " offset " << offset
+                               << " rows " << rows << " sets " << sets;
+      }
+    }
+  }
+  // Still as large as the bound allows: 20 B rows, 128 sets, 127 lines.
+  EXPECT_EQ(ScanChunkRows(20, 128, kLine), 127u * 64 / 20);
+  EXPECT_EQ(ScanChunkRows(0, 128, kLine), 1u);
+}
+
 // ------------------------------------------------------- cost ordering
 
 TEST(CostOrdering, NarrowProjectionMovesLessDataThanRowScan) {
